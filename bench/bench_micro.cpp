@@ -7,7 +7,6 @@
 #include <bit>
 #include <chrono>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -298,38 +297,20 @@ BENCHMARK(BM_JoinLeaveCycleObs)->UseManualTime()->Args({100000, 4});
 /// BENCH_micro.json. CI runs the 1e6 row; nightly runs the full 1e7 row and
 /// uploads the phase breakdown.
 ///
-/// Initialization at these sizes is minutes of wall time (~130 µs/node),
-/// and Google Benchmark re-invokes the benchmark function several times to
-/// calibrate the iteration count — so the initialized deployment is built
-/// once per n and reused across invocations. Every iteration is a join
-/// batch followed by a leave batch of the same nodes, so the population
-/// returns to n and the system stays in steady state.
-struct HugeDeployment {
-  Metrics metrics;
-  core::NowSystem system;
-  explicit HugeDeployment(std::size_t n) : system{params_for(n), metrics, 9} {
-    system.initialize(n, n * 15 / 100, core::InitTopology::kModeledSparse);
-  }
-  static core::NowParams params_for(std::size_t n) {
-    core::NowParams params;
-    params.max_size = std::bit_ceil(std::uint64_t{2} * n);
-    params.walk_mode = core::WalkMode::kSampleExact;
-    return params;
-  }
-};
-
-HugeDeployment& huge_deployment(std::size_t n) {
-  static std::map<std::size_t, std::unique_ptr<HugeDeployment>> cache;
-  auto& slot = cache[n];
-  if (!slot) slot = std::make_unique<HugeDeployment>(n);
-  return *slot;
-}
-
+/// Every invocation builds its own deployment (initialize is linear in n),
+/// and every iteration is a join batch followed by a leave batch of the
+/// same nodes, so the population returns to n and the system stays in
+/// steady state.
 void BM_HugeBatch(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kBatch = 4096;
   constexpr std::size_t kShards = 8;
-  core::NowSystem& system = huge_deployment(n).system;
+  core::NowParams params;
+  params.max_size = std::bit_ceil(std::uint64_t{2} * n);
+  params.walk_mode = core::WalkMode::kSampleExact;
+  Metrics metrics;
+  core::NowSystem system{params, metrics, 9};
+  system.initialize(n, n * 15 / 100, core::InitTopology::kModeledSparse);
   double commit_ns = 0;
   double plan_ns = 0;
   double resolve_ns = 0;

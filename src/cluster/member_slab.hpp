@@ -5,8 +5,7 @@
 // (cap >= size). Cluster becomes a thin view over its extent, so the batch
 // commit's stage-1 workers stream sequential memory over contiguous slot
 // blocks instead of chasing one heap allocation per cluster, and a snapshot
-// of the whole membership is one bulk write of the pool plus the extent
-// table.
+// of the whole membership is one bulk write per slot's member run.
 //
 // Layout determinism contract: the extent table (and therefore every slab
 // position, which the optimistic resolve keys its conflict footprints on)
@@ -14,9 +13,9 @@
 // because the pool is only ever reshaped at sequential points:
 //   * insert_sorted / erase_sorted / assign — the sequential engine and the
 //     stage-2 split/merge/spill paths;
-//   * compact() — triggered by a fixed threshold on (tail_, live_), both of
-//     which evolve through the same canonical mutation sequence everywhere
-//     (try_assign adjusts live_ with a relaxed atomic add, an
+//   * compact() — triggered by a fixed threshold on (tail_, packed_), both
+//     of which evolve through the same canonical mutation sequence
+//     everywhere (try_assign adjusts packed_ with a relaxed atomic add, an
 //     order-independent sum over per-slot deltas that are themselves
 //     shard-independent).
 // The only parallel mutator is try_assign, which writes strictly inside its
@@ -34,6 +33,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "obs/obs.hpp"
 
 namespace now::cluster {
 
@@ -43,7 +43,7 @@ class MemberSlab {
   /// [first, first + size), the slot owns [first, first + cap).
   /// 32-bit fields keep the extent table half the size a size_t layout
   /// would be — it is read on every members() access, so it competes for
-  /// L1 with the pool itself. Pool positions are bounded by ~2x the live
+  /// L1 with the pool itself. Pool positions are bounded by ~2x the packed
   /// membership (compaction trigger), far below 2^32 for any simulated
   /// deployment; relocate() asserts the bound anyway.
   struct Extent {
@@ -58,10 +58,17 @@ class MemberSlab {
     return size + size / 4 + 8;
   }
 
-  /// Compaction trigger: more than half of the allocated prefix is dead
-  /// space (beyond a fixed slack that keeps small deployments from
-  /// compacting constantly). A pure function of (tail_, live_), hence
-  /// layout-deterministic — see the header comment.
+  /// Pool positions a slot of `size` members takes once packed: what
+  /// compact() gives it (empty extents take none).
+  [[nodiscard]] static constexpr std::uint64_t packed_cap(std::uint64_t size) {
+    return size == 0 ? 0 : cap_for(size);
+  }
+
+  /// Compaction trigger: the allocated prefix is more than twice what a
+  /// compaction would pack it to (beyond a fixed slack that keeps small
+  /// deployments from compacting constantly). A pure function of
+  /// (tail_, packed_), hence layout-deterministic — see the header
+  /// comment — and cleared by construction: compact() sets tail_ = packed_.
   static constexpr std::uint64_t kCompactSlack = 1024;
 
   // ----------------------------------------------------------------- slots
@@ -116,8 +123,7 @@ class MemberSlab {
     assert((it == last || *it != node) && "member already present");
     std::copy_backward(it, last, last + 1);
     *it = node;
-    ++e.size;
-    live_.fetch_add(1, std::memory_order_relaxed);
+    set_size(e, e.size + 1);
     maybe_compact();
   }
 
@@ -128,8 +134,7 @@ class MemberSlab {
     NodeId* it = std::lower_bound(base, last, node);
     assert(it != last && *it == node && "member not present");
     (void)std::copy(it + 1, last, it);
-    --e.size;
-    live_.fetch_sub(1, std::memory_order_relaxed);
+    set_size(e, e.size - 1);
     maybe_compact();
   }
 
@@ -142,8 +147,7 @@ class MemberSlab {
     Extent& e = extents_[slot];
     std::copy(members.begin(), members.end(),
               pool_.begin() + static_cast<std::ptrdiff_t>(e.first));
-    live_.fetch_add(members.size() - e.size, std::memory_order_relaxed);
-    e.size = static_cast<std::uint32_t>(members.size());
+    set_size(e, members.size());
     maybe_compact();
   }
 
@@ -153,16 +157,15 @@ class MemberSlab {
   /// fits the slot's existing cap (never relocates, never touches tail_ or
   /// another slot's range — distinct slots write disjoint pool bytes).
   /// Returns false when the caller must spill the slot to the sequential
-  /// stage-2 commit. live_ is adjusted with a relaxed atomic add: the total
-  /// is an order-independent sum, so it stays deterministic.
+  /// stage-2 commit. packed_ is adjusted with a relaxed atomic add: the
+  /// total is an order-independent sum, so it stays deterministic.
   [[nodiscard]] bool try_assign(std::size_t slot,
                                 std::span<const NodeId> members) {
     Extent& e = extents_[slot];
     if (members.size() > e.cap) return false;
     std::copy(members.begin(), members.end(),
               pool_.begin() + static_cast<std::ptrdiff_t>(e.first));
-    live_.fetch_add(members.size() - e.size, std::memory_order_relaxed);
-    e.size = static_cast<std::uint32_t>(members.size());
+    set_size(e, members.size());
     return true;
   }
 
@@ -172,7 +175,7 @@ class MemberSlab {
   /// (write index trails the read index) followed by a backward merge for
   /// the additions (write index leads the read index), producing exactly
   /// merge_sorted_edits' output. Same concurrency contract as try_assign
-  /// (in-place only, disjoint slots, relaxed live_ adjust); returns false
+  /// (in-place only, disjoint slots, relaxed counter adjust); returns false
   /// untouched when the merged size outgrows the cap, and throws the same
   /// std::invalid_argument as merge_sorted_edits on a stale removal list
   /// BEFORE mutating anything.
@@ -225,16 +228,15 @@ class MemberSlab {
         base[--write] = additions[--add];
       }
     }
-    live_.fetch_add(merged - e.size, std::memory_order_relaxed);
-    e.size = static_cast<std::uint32_t>(merged);
+    set_size(e, merged);
     return true;
   }
 
   // ------------------------------------------------------------ compaction
 
   [[nodiscard]] std::uint64_t tail() const { return tail_; }
-  [[nodiscard]] std::uint64_t live() const {
-    return live_.load(std::memory_order_relaxed);
+  [[nodiscard]] std::uint64_t packed() const {
+    return packed_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t compaction_count() const { return compactions_; }
 
@@ -245,7 +247,7 @@ class MemberSlab {
   }
 
   [[nodiscard]] bool compaction_due() const {
-    return tail_ > 2 * live() + kCompactSlack;
+    return tail_ > 2 * packed() + kCompactSlack;
   }
 
   void maybe_compact() {
@@ -258,11 +260,12 @@ class MemberSlab {
   /// compaction is unobservable except through the extent table itself —
   /// which is layout-deterministic, see the header comment.
   void compact() {
-    std::uint64_t packed = 0;
-    for (const Extent& e : extents_) {
-      if (e.size > 0) packed += cap_for(e.size);
-    }
-    std::vector<NodeId> fresh(static_cast<std::size_t>(packed));
+#if NOW_OBS_ENABLED
+    static const obs::MetricId compactions_id =
+        obs::counter_id("slab.compactions");
+    obs::counter_add(compactions_id);
+#endif
+    std::vector<NodeId> fresh(static_cast<std::size_t>(packed()));
     std::uint64_t offset = 0;
     for (Extent& e : extents_) {
       if (e.size == 0) {
@@ -276,39 +279,10 @@ class MemberSlab {
       e.cap = static_cast<std::uint32_t>(cap_for(e.size));
       offset += e.cap;
     }
+    assert(offset == packed());
     pool_ = std::move(fresh);
     tail_ = offset;
     ++compactions_;
-  }
-
-  // ------------------------------------------------------ snapshot restore
-
-  /// Wipes the slab and sizes the pool for exactly `tail` positions over
-  /// `slot_count` extents. Gap positions are zero-filled — gap content is
-  /// unobservable, only the extent geometry (restored verbatim next) feeds
-  /// back into behavior via compaction triggers and slab positions.
-  void restore_reset(std::size_t slot_count, std::uint64_t tail) {
-    assert(tail <= std::numeric_limits<std::uint32_t>::max() &&
-           "caller validates the tail fits u32 pool positions");
-    extents_.assign(slot_count, Extent{});
-    pool_.assign(static_cast<std::size_t>(tail), NodeId{});
-    tail_ = tail;
-    live_.store(0, std::memory_order_relaxed);
-  }
-
-  /// Restores one live extent verbatim; the caller has validated that
-  /// [first, first + cap) is in bounds and disjoint from other extents.
-  void restore_extent(std::size_t slot, std::uint64_t first_pos,
-                      std::uint64_t cap, std::span<const NodeId> members) {
-    assert(slot < extents_.size());
-    assert(members.size() <= cap && first_pos + cap <= tail_);
-    Extent& e = extents_[slot];
-    e.first = static_cast<std::uint32_t>(first_pos);
-    e.cap = static_cast<std::uint32_t>(cap);
-    e.size = static_cast<std::uint32_t>(members.size());
-    std::copy(members.begin(), members.end(),
-              pool_.begin() + static_cast<std::ptrdiff_t>(first_pos));
-    live_.fetch_add(members.size(), std::memory_order_relaxed);
   }
 
  private:
@@ -333,10 +307,18 @@ class MemberSlab {
     tail_ = new_first + new_cap;
   }
 
+  /// Sets the extent's size, adjusting packed_ by the delta (unsigned
+  /// wrap-around makes a shrink a subtraction).
+  void set_size(Extent& e, std::uint64_t size) {
+    packed_.fetch_add(packed_cap(size) - packed_cap(e.size),
+                      std::memory_order_relaxed);
+    e.size = static_cast<std::uint32_t>(size);
+  }
+
   std::vector<NodeId> pool_;
   std::vector<Extent> extents_;
   std::uint64_t tail_ = 0;  // allocated prefix of pool_
-  std::atomic<std::uint64_t> live_{0};  // sum of extent sizes
+  std::atomic<std::uint64_t> packed_{0};  // sum of packed_cap(extent size)
   std::uint64_t compactions_ = 0;
 };
 

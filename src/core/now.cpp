@@ -581,6 +581,7 @@ InitReport NowSystem::initialize(std::size_t n0, std::size_t byzantine_count,
 
   // --- Phase 1: network discovery (all honest nodes learn all identities),
   // flooding over the initial knowledge topology.
+  obs::ScopedSpan discovery_span(obs::Cat::kStep, "init.discovery");
   if (topology == InitTopology::kModeledSparse) {
     OpScope discovery_scope(metrics_, "init.discovery");
     const double nd = static_cast<double>(n0);
@@ -615,10 +616,12 @@ InitReport NowSystem::initialize(std::size_t n0, std::size_t byzantine_count,
     report.discovery = discovery_scope.cost();
     report.discovery_complete = discovery.complete;
   }
+  discovery_span.stop();
 
   // --- Phase 2: representative cluster via scalable BA ([19]; DESIGN.md §5).
   std::vector<NodeId> representative;
   {
+    obs::ScopedSpan quorum_span(obs::Cat::kStep, "init.quorum");
     OpScope quorum_scope(metrics_, "init.quorum");
     const std::size_t rep_size =
         std::min(params_.cluster_size_target(n0), n0);
@@ -632,6 +635,7 @@ InitReport NowSystem::initialize(std::size_t n0, std::size_t byzantine_count,
   // (one randNum call per Fisher–Yates step) and cuts the order into
   // clusters of ~ k log N nodes.
   {
+    obs::ScopedSpan partition_span(obs::Cat::kStep, "init.partition");
     OpScope partition_scope(metrics_, "init.partition");
     std::uint64_t rounds = 0;
     for (std::size_t i = 0; i < n0; ++i) {
@@ -656,7 +660,10 @@ InitReport NowSystem::initialize(std::size_t n0, std::size_t byzantine_count,
     }
 
     // Overlay wiring: for each pair of clusters, the representative cluster
-    // draws the ER coin (we charge one randNum per pair).
+    // draws the ER coin (we charge one randNum per pair). The overlay span
+    // also covers the membership/neighborhood broadcast below.
+    partition_span.stop();
+    obs::ScopedSpan overlay_span(obs::Cat::kStep, "init.overlay");
     state_.overlay.initialize(cluster_ids, rng_);
     const std::uint64_t pair_count =
         static_cast<std::uint64_t>(num_clusters) *

@@ -1,10 +1,9 @@
 #include "core/snapshot.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstdio>
-#include <limits>
+#include <memory>
 #include <span>
 #include <type_traits>
 
@@ -154,26 +153,19 @@ void snapshot_save_state(const NowState& state, SnapshotWriter& w) {
   w.u64(state.next_node_id_);
   w.u64(state.next_cluster_id_);
 
-  // Membership slab (format v2): the allocated tail is written explicitly —
-  // it is NOT recomputable from the extents (the last-allocated extent may
-  // have been released) and the compaction trigger reads it — then one
-  // extent record + bulk member block per live slot. Gaps between extents
-  // are dead bytes and are not serialized; load zero-fills them
-  // (unobservable: no read ever leaves [first, first + size)).
+  // Membership (format v3): per live slot, the cluster id and its sorted
+  // member run. No slab layout — load re-carves it packed, the layout
+  // compact() gives, and layout is unobservable (DESIGN.md §9).
   const cluster::MemberSlab& slab = *state.slab_;
   w.u64(state.slots_.size());
-  w.u64(slab.tail());
   for (std::size_t slot = 0; slot < state.slots_.size(); ++slot) {
     if (!state.slots_[slot].has_value()) {
       w.u8(0);
       continue;
     }
-    const cluster::MemberSlab::Extent& e = slab.extent(slot);
     w.u8(1);
     w.u64(state.slots_[slot]->id().value());
-    w.u64(e.first);
-    w.u64(e.cap);
-    w.u64(e.size);
+    w.u64(slab.size(slot));
     write_node_ids(w, slab.members(slot));
   }
   w.u64(state.free_slots_.size());
@@ -214,61 +206,34 @@ void snapshot_load_state(NowState& state, SnapshotReader& r) {
   state.sizes_ = FenwickTree{};
   state.sizes_.resize(slot_count);
 
-  // Slab tail. Every live member contributes 8 payload bytes below, and at
-  // rest the slab honors tail <= 2 * live + slack (maybe_compact runs at
-  // every sequential mutation and at each batch boundary), so a corrupt or
-  // hostile tail that would drive an allocation far beyond the actual
-  // payload size is rejected before the pool is sized.
-  const std::uint64_t slab_tail = r.u64();
-  if (slab_tail >
-      2 * (r.remaining() / 8) + cluster::MemberSlab::kCompactSlack) {
-    throw SnapshotError("slab tail exceeds plausible payload");
-  }
-  // The slab stores pool positions as u32 (MemberSlab::Extent); the
-  // plausibility bound above keeps any honest tail far below that, so a
-  // larger value can only be corruption.
-  if (slab_tail > std::numeric_limits<std::uint32_t>::max()) {
-    throw SnapshotError("slab tail exceeds pool position range");
-  }
-  state.slab_->restore_reset(static_cast<std::size_t>(slot_count), slab_tail);
-
+  // Every slot gets an empty extent, as create_cluster gives it; live
+  // slots are then carved at the tail in ascending slot order, which is
+  // exactly the packed layout compact() produces.
+  state.slab_ = std::make_unique<cluster::MemberSlab>();
   std::vector<NodeId> members;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> extents;  // first,cap
   for (std::uint64_t slot = 0; slot < slot_count; ++slot) {
+    state.slab_->acquire_slot(static_cast<std::size_t>(slot));
     if (r.u8() == 0) continue;
     const ClusterId id{r.u64()};
-    const std::uint64_t first = r.u64();
-    const std::uint64_t cap = r.u64();
-    const std::uint64_t size = r.count(8);
-    if (size > cap || cap > slab_tail || first > slab_tail - cap) {
-      throw SnapshotError("slab extent out of bounds");
-    }
-    members.resize(static_cast<std::size_t>(size));
+    members.resize(static_cast<std::size_t>(r.count(8)));
     read_node_ids(r, members);
     for (std::size_t i = 1; i < members.size(); ++i) {
       if (!(members[i - 1] < members[i])) {
         throw SnapshotError("cluster member list not strictly sorted");
       }
     }
+    for (const NodeId m : members) {
+      if (state.node_home_.contains(m.value())) {
+        throw SnapshotError("node listed in two clusters");
+      }
+      state.node_home_.set(m.value(), id);
+    }
     state.slots_[slot].emplace(id, *state.slab_,
                                static_cast<std::size_t>(slot));
-    state.slab_->restore_extent(static_cast<std::size_t>(slot), first, cap,
-                                members);
-    if (cap > 0) extents.emplace_back(first, cap);
-    state.cluster_slot_.set(id.value(),
-                            static_cast<std::uint32_t>(slot));
-    for (const NodeId m : members) state.node_home_.set(m.value(), id);
+    state.slab_->assign(static_cast<std::size_t>(slot), members);
+    state.cluster_slot_.set(id.value(), static_cast<std::uint32_t>(slot));
     state.placed_count_ += members.size();
-    state.sizes_.add(static_cast<std::size_t>(slot), size);
-  }
-  // Extents must be pairwise disjoint over their full [first, first + cap)
-  // ranges — overlapping caps would let one slot's in-place edits corrupt
-  // another's members after restore.
-  std::sort(extents.begin(), extents.end());
-  for (std::size_t i = 1; i < extents.size(); ++i) {
-    if (extents[i - 1].first + extents[i - 1].second > extents[i].first) {
-      throw SnapshotError("slab extents overlap");
-    }
+    state.sizes_.add(static_cast<std::size_t>(slot), members.size());
   }
 
   const std::uint64_t free_count = r.count(4);
@@ -296,6 +261,9 @@ void snapshot_load_state(NowState& state, SnapshotReader& r) {
   const std::uint64_t live_node_count = r.count(8);
   for (std::uint64_t i = 0; i < live_node_count; ++i) {
     state.live_.insert(NodeId{r.u64()});
+  }
+  if (state.placed_count_ != state.live_.size()) {
+    throw SnapshotError("placed member count differs from live-node count");
   }
   const std::uint64_t byz_count = r.count(8);
   for (std::uint64_t i = 0; i < byz_count; ++i) {

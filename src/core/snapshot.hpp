@@ -2,11 +2,9 @@
 // deterministic state of a NOW deployment (DESIGN.md §8).
 //
 // A snapshot captures everything the protocol's future trajectory depends
-// on: the NowState slot tables and free lists, the membership slab's exact
-// geometry (per-slot extents + allocated tail — slab positions key the
-// commit's conflict footprints and the compaction trigger is a function of
-// tail and live mass, so layout must survive a round trip verbatim), the
-// node/cluster id counters, the node -> home map (rebuilt from
+// on: the NowState slot tables and free lists, each live slot's sorted
+// member run (not the slab layout: load re-carves it packed, and layout is
+// unobservable — DESIGN.md §9), the node/cluster id counters, the node -> home map (rebuilt from
 // membership), the Byzantine and live-node sets IN THEIR DENSE ORDER (both
 // orders are observable through uniform index draws and items()
 // iteration), the overlay adjacency in its dense vertex order
@@ -57,7 +55,9 @@ class SnapshotError : public std::runtime_error {
 ///   v1 — per-cluster member lists, no slab geometry.
 ///   v2 — membership slab: explicit tail + per-slot extent (first/cap/size)
 ///        + bulk little-endian member block per live slot.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
+///   v3 — layout-free membership: per live slot only (id, size, bulk member
+///        block); load carves the packed layout compact() produces.
+inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
 
 /// Little-endian binary writer over an in-memory buffer. write_file frames
 /// the buffer with magic + version + checksum.

@@ -458,12 +458,12 @@ class NowState {
  private:
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
-  /// Snapshot serialization (core/snapshot.cpp): the slot table, the slab
-  /// geometry (extents + tail — compaction triggers are a function of it),
-  /// the free list and every dense order (live_ids_, live_, byzantine) are
-  /// observable through sampling or slab positions, so they are written and
-  /// reconstructed verbatim; the derived containers (cluster_slot_,
-  /// node_home_, sizes_, live_pos_, placed_count_) are rebuilt from them.
+  /// Snapshot serialization (core/snapshot.cpp): the slot table with each
+  /// slot's members, the free list and every dense order (live_ids_, live_,
+  /// byzantine) are observable through sampling, so they are written and
+  /// reconstructed verbatim; the slab layout (unobservable) is re-carved
+  /// packed, and the derived containers (cluster_slot_, node_home_, sizes_,
+  /// live_pos_, placed_count_) are rebuilt from them.
   friend void snapshot_save_state(const NowState& state,
                                   SnapshotWriter& writer);
   friend void snapshot_load_state(NowState& state, SnapshotReader& reader);

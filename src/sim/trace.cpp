@@ -454,7 +454,7 @@ TraceReplayResult replay_trace(const std::string& path,
         reader.bytes(embedded.data(), embedded.size());
         // Every checkpoint is an observation point: serialize the live
         // state through the same writer and compare byte-for-byte. The
-        // snapshot payload is canonical (slab geometry, dense-set orders,
+        // snapshot payload is canonical (member runs, dense-set orders,
         // RNG words), so equality here IS state identity.
         core::SnapshotWriter live;
         core::save_system(system, live);

@@ -3,7 +3,7 @@
 // protocol, compaction (trigger, packing, and — the tentpole contract — its
 // UNOBSERVABILITY to everything RNG-visible), slab-geometry bit-identity
 // across shard counts and resolve modes, and snapshot round-trips of a
-// fragmented slab.
+// fragmented slab into a packed one.
 #include "cluster/member_slab.hpp"
 
 #include <gtest/gtest.h>
@@ -39,13 +39,13 @@ over::OverParams small_over() {
 
 /// Full slab consistency sweep against the cluster partition: every live
 /// cluster's extent is in bounds, sorted, sized consistently and disjoint
-/// from every other extent; the live counter matches; and at rest the
+/// from every other extent; the packed counter matches; and at rest the
 /// compaction trigger has been honored (every mutation path ends in
 /// maybe_compact).
 void expect_slab_consistent(const NowState& state) {
   const cluster::MemberSlab& slab = state.member_slab();
   std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
-  std::uint64_t live = 0;
+  std::uint64_t packed = 0;
   for (const ClusterId id : state.cluster_ids()) {
     const auto& c = state.cluster_at(id);
     const auto& e = slab.extent(state.slot_index(id));
@@ -56,9 +56,9 @@ void expect_slab_consistent(const NowState& state) {
     EXPECT_TRUE(std::is_sorted(members.begin(), members.end()))
         << "cluster " << id;
     if (e.cap > 0) ranges.emplace_back(e.first, e.first + e.cap);
-    live += e.size;
+    packed += cluster::MemberSlab::packed_cap(e.size);
   }
-  EXPECT_EQ(live, slab.live());
+  EXPECT_EQ(packed, slab.packed());
   std::sort(ranges.begin(), ranges.end());
   for (std::size_t i = 1; i < ranges.size(); ++i) {
     ASSERT_LE(ranges[i - 1].second, ranges[i].first) << "extents overlap";
@@ -115,10 +115,10 @@ TEST(MemberSlabTest, InsertEraseKeepSortedExtents) {
   const auto members = slab.members(0);
   EXPECT_TRUE(std::is_sorted(members.begin(), members.end()));
   EXPECT_EQ(slab.size(0), 5u);
-  EXPECT_EQ(slab.live(), 5u);
+  EXPECT_EQ(slab.packed(), cluster::MemberSlab::cap_for(5));
   slab.erase_sorted(0, NodeId{5});
   EXPECT_EQ(slab.size(0), 4u);
-  EXPECT_EQ(slab.live(), 4u);
+  EXPECT_EQ(slab.packed(), cluster::MemberSlab::cap_for(4));
   const auto after = slab.members(0);
   EXPECT_TRUE(std::is_sorted(after.begin(), after.end()));
   EXPECT_FALSE(std::binary_search(after.begin(), after.end(), NodeId{5}));
@@ -163,7 +163,7 @@ TEST(MemberSlabTest, TryAssignFailsBeyondCapAndNeverMoves) {
   EXPECT_EQ(slab.extent(0).first, extent_before.first);
   EXPECT_EQ(slab.extent(0).cap, extent_before.cap);
   EXPECT_EQ(slab.tail(), tail_before);
-  EXPECT_EQ(slab.live(), fits.size());
+  EXPECT_EQ(slab.packed(), cluster::MemberSlab::cap_for(fits.size()));
 
   // Beyond cap: refused, nothing changes.
   std::vector<NodeId> overflow = fits;
@@ -196,7 +196,7 @@ TEST(MemberSlabTest, TryApplyEditsMatchesMergeAndThrowsBeforeMutating) {
   EXPECT_TRUE(std::ranges::equal(slab.members(0), expected));
   EXPECT_EQ(slab.extent(0).first, extent_before.first);
   EXPECT_EQ(slab.extent(0).cap, extent_before.cap);
-  EXPECT_EQ(slab.live(), expected.size());
+  EXPECT_EQ(slab.packed(), cluster::MemberSlab::cap_for(expected.size()));
 
   // Merged size beyond cap: refused, nothing changes.
   std::vector<NodeId> overflow;
@@ -215,7 +215,7 @@ TEST(MemberSlabTest, TryApplyEditsMatchesMergeAndThrowsBeforeMutating) {
   EXPECT_THROW((void)slab.try_apply_edits(0, duplicate, {}),
                std::invalid_argument);
   EXPECT_TRUE(std::ranges::equal(slab.members(0), expected));
-  EXPECT_EQ(slab.live(), expected.size());
+  EXPECT_EQ(slab.packed(), cluster::MemberSlab::cap_for(expected.size()));
 }
 
 TEST(MemberSlabTest, CompactionPacksAscendingSlotsAndResetsEmpties) {
@@ -249,12 +249,57 @@ TEST(MemberSlabTest, CompactionPacksAscendingSlotsAndResetsEmpties) {
   EXPECT_TRUE(std::equal(m3.begin(), m3.end(), three.begin(), three.end()));
 }
 
-TEST(MemberSlabTest, CompactionTriggerIsAFunctionOfTailAndLive) {
+TEST(MemberSlabTest, CompactionClearsItsOwnTrigger) {
+  // The trigger compares tail against the packed size, which is exactly
+  // the tail compact() produces, so a compaction can never leave the
+  // trigger armed — even for thousands of tiny extents. Below a mean size
+  // of ~10.7 the repack, 1.25 * live + 8 * slots, already exceeded the
+  // old trigger's 2 * live + slack.
+  for (const std::uint64_t max_size : {1u, 3u, 10u, 40u}) {
+    cluster::MemberSlab slab;
+    std::uint64_t next = 0;
+    for (std::size_t s = 0; s < 4000; ++s) {
+      slab.acquire_slot(s);
+      for (std::uint64_t i = 0; i < 1 + s % max_size; ++i) {
+        slab.insert_sorted(s, NodeId{next++});
+      }
+    }
+    // Strand dead space behind relocations, then empty every third slot.
+    for (std::size_t s = 0; s < 4000; s += 2) {
+      for (std::uint64_t i = 0; i < 12; ++i) {
+        slab.insert_sorted(s, NodeId{next++});
+      }
+    }
+    for (std::size_t s = 0; s < 4000; s += 3) {
+      while (slab.size(s) > 0) slab.erase_sorted(s, slab.members(s).front());
+    }
+    slab.compact();
+    EXPECT_EQ(slab.tail(), slab.packed()) << "max size " << max_size;
+    EXPECT_FALSE(slab.compaction_due()) << "max size " << max_size;
+  }
+}
+
+TEST(MemberSlabTest, RoundRobinFillCompactsAtMostTwice) {
+  // initialize()'s fill: 1e5 nodes dealt round-robin into 2564 slots (the
+  // n = 1e5, k = 3 deployment). Every extent grows through the tiny-size
+  // regime together; a trigger that compaction cannot clear compacted on
+  // nearly every insert here. A machine-independent work count.
+  constexpr std::size_t kSlots = 2564;
+  cluster::MemberSlab slab;
+  for (std::size_t s = 0; s < kSlots; ++s) slab.acquire_slot(s);
+  for (std::uint64_t v = 0; v < 100000; ++v) {
+    slab.insert_sorted(v % kSlots, NodeId{v});
+  }
+  EXPECT_LE(slab.compaction_count(), 2u);
+  EXPECT_FALSE(slab.compaction_due());
+}
+
+TEST(MemberSlabTest, ShrunkSlotGetsItsDeadSpaceBack) {
+  // Inflate tail with churn on one slot, then shrink it 40x: every mutator
+  // self-compacts via maybe_compact, so dead space stays bounded by the
+  // packed size.
   cluster::MemberSlab slab;
   slab.acquire_slot(0);
-  // Inflate tail with churn on one slot; the trigger must fire exactly when
-  // tail > 2 * live + slack, and every mutator self-compacts via
-  // maybe_compact, so dead space stays bounded.
   for (std::uint64_t v = 0; v < 40000; ++v) {
     slab.insert_sorted(0, NodeId{v});
   }
@@ -263,7 +308,7 @@ TEST(MemberSlabTest, CompactionTriggerIsAFunctionOfTailAndLive) {
   }
   EXPECT_FALSE(slab.compaction_due());
   EXPECT_LE(slab.tail(),
-            2 * slab.live() + cluster::MemberSlab::kCompactSlack);
+            2 * slab.packed() + cluster::MemberSlab::kCompactSlack);
   EXPECT_GE(slab.compaction_count(), 1u);
 }
 
@@ -433,10 +478,10 @@ TEST(MemberSlabTest, ForcedCompactionMidScenarioIsUnobservable) {
 }
 
 TEST(MemberSlabTest, FragmentedSlabSurvivesSnapshotRoundTrip) {
-  // Join-heavy churn relocates extents and leaves dead space behind; the
-  // snapshot must restore the slab GEOMETRY verbatim (tail + every extent),
-  // not just the membership, because compaction triggers and slab positions
-  // feed back into behavior.
+  // Join-heavy churn relocates extents and leaves dead space behind. The
+  // snapshot carries membership only (format v3): the loaded slab is
+  // packed, yet membership and the continuation must match the fragmented
+  // original exactly, because layout is unobservable.
   const std::string path = testing::TempDir() + "member_slab_frag.snap";
   Metrics ma;
   NowSystem a{slab_params(), ma, 29};
@@ -452,22 +497,31 @@ TEST(MemberSlabTest, FragmentedSlabSurvivesSnapshotRoundTrip) {
     const auto leaves = a.state().sample_distinct_nodes(victims_a, 4);
     a.step_parallel_mixed(12, 1, leaves, 4);
   }
-  // The churn above must actually have fragmented the slab — dead space
-  // beyond the live extents' reservations — or this test is vacuous.
+  // The churn above must have left the slab unpacked, or the packed
+  // layout the load produces would equal it and this test is vacuous.
   const cluster::MemberSlab& slab_a = a.state().member_slab();
-  std::uint64_t reserved = 0;
-  for (const ClusterId id : a.state().cluster_ids()) {
-    reserved += slab_a.extent(a.state().slot_index(id)).cap;
-  }
-  EXPECT_GT(slab_a.tail(), reserved) << "churn produced no fragmentation";
-  const SlabSignature saved = slab_signature(a.state());
+  EXPECT_GT(slab_a.tail(), slab_a.packed())
+      << "churn produced no fragmentation";
   a.save(path);
 
   Metrics mb;
   NowSystem b{slab_params(), mb, 29};
   b.load(path);
-  ASSERT_EQ(slab_signature(b.state()), saved);
   expect_slab_consistent(b.state());
+  // Membership survives: same clusters, same sorted member runs.
+  ASSERT_TRUE(std::ranges::equal(a.state().cluster_ids(),
+                                 b.state().cluster_ids()));
+  for (const ClusterId id : a.state().cluster_ids()) {
+    ASSERT_TRUE(std::ranges::equal(a.state().cluster_at(id).members(),
+                                   b.state().cluster_at(id).members()))
+        << "cluster " << id;
+  }
+  // The loaded layout is packed: exactly what compact() produces.
+  const SlabSignature loaded = slab_signature(b.state());
+  EXPECT_EQ(loaded.tail, b.state().member_slab().packed());
+  auto& slab_b = const_cast<cluster::MemberSlab&>(b.state().member_slab());
+  slab_b.compact();
+  EXPECT_EQ(slab_signature(b.state()), loaded);
 
   // Restore-then-continue stays bit-exact through more sharded batches.
   Rng victims_b{0};
@@ -480,9 +534,15 @@ TEST(MemberSlabTest, FragmentedSlabSurvivesSnapshotRoundTrip) {
     const auto [jb, rb] = b.step_parallel_mixed(6, 1, lb, 4);
     ASSERT_EQ(ja, jb) << "batch " << t;
     EXPECT_EQ(ra.cost.messages, rb.cost.messages) << "batch " << t;
+    EXPECT_EQ(ra.conflicts, rb.conflicts) << "batch " << t;
+    EXPECT_EQ(ra.splits, rb.splits) << "batch " << t;
+    EXPECT_EQ(ra.merges, rb.merges) << "batch " << t;
   }
-  ASSERT_EQ(slab_signature(a.state()), slab_signature(b.state()));
   EXPECT_EQ(partition_signature(a), partition_signature(b));
+  for (const NodeId node : a.state().live_nodes()) {
+    ASSERT_EQ(a.state().home_of(node), b.state().home_of(node));
+  }
+  EXPECT_EQ(a.rng().state(), b.rng().state());
   std::remove(path.c_str());
 }
 

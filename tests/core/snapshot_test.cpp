@@ -4,8 +4,8 @@
 // Byzantine ground truth, the system RNG's continued stream and the
 // invariant samples — across shard counts {1, 4, 8} and all three
 // ResolveModes; and malformed files (wrong magic, unknown version,
-// truncation, corruption, parameter drift) must be rejected, never
-// misparsed.
+// truncation, corruption, parameter drift, a membership that does not
+// place every live node exactly once) must be rejected, never misparsed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +18,7 @@
 
 #include "core/now.hpp"
 #include "core/snapshot.hpp"
+#include "core/state.hpp"
 
 namespace now::core {
 namespace {
@@ -301,6 +302,58 @@ TEST(SnapshotTest, RejectsWrongMagicVersionTruncationAndCorruption) {
   // A system that already ran must refuse to load over itself.
   EXPECT_THROW(system.load(path), SnapshotError);
   std::remove(path.c_str());
+}
+
+/// Saves a fresh 300-node deployment after `forge` has edited its slab
+/// behind NowState's back (the sanctioned test-only mutation path: the
+/// slab is handed out const), loads the file into a fresh system, and
+/// returns the SnapshotError message ("" when the load succeeded).
+template <typename Forge>
+std::string load_error_after_forging(const std::string& name, Forge forge) {
+  const NowParams params = snapshot_params(ResolveMode::kAuto);
+  const std::string path = temp_path(name);
+  Metrics ma;
+  NowSystem a{params, ma, 13};
+  a.initialize(300, 30, InitTopology::kModeledSparse);
+  const NowState& state = a.state();
+  forge(const_cast<cluster::MemberSlab&>(state.member_slab()),
+        state.slot_index(state.cluster_ids()[0]),
+        state.slot_index(state.cluster_ids()[1]));
+  a.save(path);
+  Metrics mb;
+  NowSystem b{params, mb, 13};
+  std::string error;
+  try {
+    b.load(path);
+  } catch (const SnapshotError& e) {
+    error = e.what();
+  }
+  std::remove(path.c_str());
+  return error;
+}
+
+TEST(SnapshotTest, RejectsANodeListedInTwoClusters) {
+  // Swap one of cluster 1's members for one of cluster 0's: every count
+  // still adds up, but that node is now placed twice.
+  const std::string error = load_error_after_forging(
+      "now_twice.snap", [](cluster::MemberSlab& slab, std::size_t first,
+                           std::size_t second) {
+        const NodeId twice = slab.members(first).front();
+        slab.erase_sorted(second, slab.members(second).front());
+        slab.insert_sorted(second, twice);
+      });
+  EXPECT_NE(error.find("two clusters"), std::string::npos) << error;
+}
+
+TEST(SnapshotTest, RejectsAPlacedCountThatDiffersFromLiveNodes) {
+  // Drop a live node from its cluster: it stays in the live registry, so
+  // the placed count falls one short.
+  const std::string error = load_error_after_forging(
+      "now_unplaced.snap",
+      [](cluster::MemberSlab& slab, std::size_t, std::size_t second) {
+        slab.erase_sorted(second, slab.members(second).front());
+      });
+  EXPECT_NE(error.find("live-node count"), std::string::npos) << error;
 }
 
 }  // namespace
