@@ -157,44 +157,26 @@ void BM_ExchangeAll(benchmark::State& state) {
 }
 BENCHMARK(BM_ExchangeAll);
 
-/// Join/leave churn at size n — the hot maintenance path whose per-op
-/// wall-clock cost gates how large a deployment the simulator can step.
-///
-/// The second argument is the --shards axis: shards = 1 drives the legacy
-/// sequential engine one operation at a time (the pre-sharding trajectory
-/// baseline); shards >= 2 drives batches of kShardedBatch joins + leaves
-/// through the sharded plan/commit engine. Time is reported per
-/// join + leave pair in both modes so the BENCH_micro.json rows stay
-/// comparable across engines and PRs.
-void BM_JoinLeaveCycle(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto shards = static_cast<std::size_t>(state.range(1));
-  constexpr std::size_t kShardedBatch = 32;
+/// NowParams of the churn rows: sampled walks, N at least twice n.
+core::NowParams churn_params(std::size_t n) {
   core::NowParams params;
   params.max_size = std::max<std::uint64_t>(std::uint64_t{1} << 12,
                                             std::bit_ceil(2 * n));
   params.walk_mode = core::WalkMode::kSampleExact;
-  switch (state.range(2)) {
-    case 1: params.resolve_mode = core::ResolveMode::kSequential; break;
-    case 2: params.resolve_mode = core::ResolveMode::kOptimistic; break;
-    default: break;
-  }
-  Metrics metrics;
-  core::NowSystem system{params, metrics, 9};
-  system.initialize(n, n * 15 / 100, core::InitTopology::kModeledSparse);
-  if (shards <= 1) {
-    for (auto _ : state) {
-      const auto start = std::chrono::steady_clock::now();
-      const auto [node, report] = system.join(false);
-      benchmark::DoNotOptimize(report.cost.messages);
-      system.leave(node);
-      state.SetIterationTime(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count());
-    }
-    return;
-  }
+  return params;
+}
+
+/// The batch driver every sharded churn row shares: each iteration steps a
+/// batch of `batch` joins through the sharded engine, then a batch in
+/// which the same nodes leave, so the population returns to n and the
+/// deployment stays in steady state. Time is reported per join + leave
+/// pair, comparable across rows and engines. The counters are per-batch
+/// means of the plan phase and the commit phase (with the commit further
+/// broken into resolve / stage-1 apply / stage-2 merge) plus exchange
+/// waves — the breakdown that attributes whole-step movement to the phase
+/// that caused it.
+void run_join_leave_batches(benchmark::State& state, core::NowSystem& system,
+                            std::size_t batch, std::size_t shards) {
   double commit_ns = 0;
   double plan_ns = 0;
   double resolve_ns = 0;
@@ -204,16 +186,14 @@ void BM_JoinLeaveCycle(benchmark::State& state) {
   std::size_t batches = 0;
   for (auto _ : state) {
     const auto start = std::chrono::steady_clock::now();
-    const auto [joined, up] =
-        system.step_parallel(kShardedBatch, {}, false, shards);
+    const auto [joined, up] = system.step_parallel(batch, {}, false, shards);
     benchmark::DoNotOptimize(up.cost.messages);
     const auto [unused, down] = system.step_parallel(0, joined, false, shards);
     benchmark::DoNotOptimize(down.cost.messages);
     state.SetIterationTime(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count() /
-        static_cast<double>(kShardedBatch));
+        static_cast<double>(batch));
     commit_ns += static_cast<double>(up.commit_ns + down.commit_ns);
     plan_ns += static_cast<double>(up.plan_ns + down.plan_ns);
     resolve_ns += static_cast<double>(up.resolve_ns + down.resolve_ns);
@@ -222,11 +202,6 @@ void BM_JoinLeaveCycle(benchmark::State& state) {
     wave_count += static_cast<double>(up.wave_count + down.wave_count);
     batches += 2;
   }
-  // Phase scalar rows of BENCH_micro.json: mean wall-ns per batch of the
-  // plan phase and the commit phase (with the commit further broken into
-  // resolve / stage-1 apply / stage-2 merge), plus mean exchange waves —
-  // the trajectory that attributes whole-step movement to the phase that
-  // caused it.
   if (batches > 0) {
     const auto per_batch = [batches](double total) {
       return total / static_cast<double>(batches);
@@ -239,48 +214,60 @@ void BM_JoinLeaveCycle(benchmark::State& state) {
     state.counters["wave_count"] = per_batch(wave_count);
   }
 }
+
+/// Join/leave churn at size n — the hot maintenance path whose per-op
+/// wall-clock cost gates how large a deployment the simulator can step.
+///
+/// The second argument is the --shards axis: shards = 1 drives the legacy
+/// sequential engine one operation at a time (the pre-sharding trajectory
+/// baseline); shards >= 2 drives batches of 32 joins + leaves through the
+/// sharded plan/commit engine. Time is reported per join + leave pair in
+/// both modes so the BENCH_micro.json rows stay comparable across engines
+/// and PRs.
+void BM_JoinLeaveCycle(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto shards = static_cast<std::size_t>(state.range(1));
+  Metrics metrics;
+  core::NowSystem system{churn_params(n), metrics, 9};
+  system.initialize(n, n * 15 / 100, core::InitTopology::kModeledSparse);
+  if (shards > 1) {
+    run_join_leave_batches(state, system, 32, shards);
+    return;
+  }
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    const auto [node, report] = system.join(false);
+    benchmark::DoNotOptimize(report.cost.messages);
+    system.leave(node);
+    state.SetIterationTime(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start)
+            .count());
+  }
+}
 BENCHMARK(BM_JoinLeaveCycle)
     ->UseManualTime()
-    ->Args({800, 1, 0})
-    ->Args({800, 4, 0})
-    ->Args({100000, 1, 0})
-    ->Args({100000, 4, 0})
-    ->Args({100000, 4, 1})
-    ->Args({100000, 4, 2})
-    ->Args({200000, 1, 0})
-    ->Args({200000, 4, 0});
+    ->Args({800, 1})
+    ->Args({800, 4})
+    ->Args({100000, 1})
+    ->Args({100000, 4})
+    ->Args({200000, 1})
+    ->Args({200000, 4});
 
 /// BM_JoinLeaveCycle's sharded body with the telemetry layer switched ON
 /// (spans recorded, counters incremented) — the obs-overhead guard row.
-/// scripts/check_bench.py compares it against BM_JoinLeaveCycle/100000/4/0
+/// scripts/check_bench.py compares it against BM_JoinLeaveCycle/100000/4
 /// (same work, telemetry off) and warns when the hooks cost more than the
 /// DESIGN.md §13 overhead budget. With NOW_OBS=OFF the two rows measure
 /// identical code.
 void BM_JoinLeaveCycleObs(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto shards = static_cast<std::size_t>(state.range(1));
-  constexpr std::size_t kShardedBatch = 32;
-  core::NowParams params;
-  params.max_size = std::max<std::uint64_t>(std::uint64_t{1} << 12,
-                                            std::bit_ceil(2 * n));
-  params.walk_mode = core::WalkMode::kSampleExact;
   Metrics metrics;
-  core::NowSystem system{params, metrics, 9};
+  core::NowSystem system{churn_params(n), metrics, 9};
   system.initialize(n, n * 15 / 100, core::InitTopology::kModeledSparse);
   obs::set_enabled(true);
-  for (auto _ : state) {
-    const auto start = std::chrono::steady_clock::now();
-    const auto [joined, up] =
-        system.step_parallel(kShardedBatch, {}, false, shards);
-    benchmark::DoNotOptimize(up.cost.messages);
-    const auto [unused, down] = system.step_parallel(0, joined, false, shards);
-    benchmark::DoNotOptimize(down.cost.messages);
-    state.SetIterationTime(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count() /
-        static_cast<double>(kShardedBatch));
-  }
+  run_join_leave_batches(state, system, 32, shards);
   obs::set_enabled(false);
   obs::SpanRecorder::instance().reset();
   obs::Registry::instance().reset();
@@ -288,62 +275,21 @@ void BM_JoinLeaveCycleObs(benchmark::State& state) {
 BENCHMARK(BM_JoinLeaveCycleObs)->UseManualTime()->Args({100000, 4});
 
 /// The huge-batch tier (DESIGN.md §11): one deployment at n ∈ {1e6, 1e7}
-/// stepped with 4096-op batches through the sharded engine — the scale the
-/// streaming plan kernels, bulk RNG derivation and epoch-stamped scratch
-/// exist for. Time is reported per join + leave pair (comparable with
-/// BM_JoinLeaveCycle); the counters add the per-batch phase breakdown and
-/// the deployment's memory footprint per node (NowSystem::footprint_bytes,
-/// capacities included), so both ns/op and bytes-per-node are gated rows in
-/// BENCH_micro.json. CI runs the 1e6 row; nightly runs the full 1e7 row and
-/// uploads the phase breakdown.
+/// stepped with 4096-op batches on 8 shards through the sharded engine —
+/// the scale the streaming plan kernels, bulk RNG derivation and
+/// epoch-stamped scratch exist for. On top of the shared driver's phase
+/// breakdown, the row records the deployment's memory footprint per node
+/// (NowSystem::footprint_bytes, capacities included), so both ns/op and
+/// bytes-per-node are gated rows in BENCH_micro.json. CI runs the 1e6 row;
+/// nightly runs the full 1e7 row and uploads the phase breakdown.
 ///
-/// Every invocation builds its own deployment (initialize is linear in n),
-/// and every iteration is a join batch followed by a leave batch of the
-/// same nodes, so the population returns to n and the system stays in
-/// steady state.
+/// Every invocation builds its own deployment (initialize is linear in n).
 void BM_HugeBatch(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kBatch = 4096;
-  constexpr std::size_t kShards = 8;
-  core::NowParams params;
-  params.max_size = std::bit_ceil(std::uint64_t{2} * n);
-  params.walk_mode = core::WalkMode::kSampleExact;
   Metrics metrics;
-  core::NowSystem system{params, metrics, 9};
+  core::NowSystem system{churn_params(n), metrics, 9};
   system.initialize(n, n * 15 / 100, core::InitTopology::kModeledSparse);
-  double commit_ns = 0;
-  double plan_ns = 0;
-  double resolve_ns = 0;
-  double stage1_ns = 0;
-  double stage2_ns = 0;
-  std::size_t batches = 0;
-  for (auto _ : state) {
-    const auto start = std::chrono::steady_clock::now();
-    const auto [joined, up] = system.step_parallel(kBatch, {}, false, kShards);
-    benchmark::DoNotOptimize(up.cost.messages);
-    const auto [unused, down] = system.step_parallel(0, joined, false, kShards);
-    benchmark::DoNotOptimize(down.cost.messages);
-    state.SetIterationTime(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count() /
-        static_cast<double>(kBatch));
-    commit_ns += static_cast<double>(up.commit_ns + down.commit_ns);
-    plan_ns += static_cast<double>(up.plan_ns + down.plan_ns);
-    resolve_ns += static_cast<double>(up.resolve_ns + down.resolve_ns);
-    stage1_ns += static_cast<double>(up.stage1_ns + down.stage1_ns);
-    stage2_ns += static_cast<double>(up.stage2_ns + down.stage2_ns);
-    batches += 2;
-  }
-  if (batches > 0) {
-    const auto per_batch = [batches](double total) {
-      return total / static_cast<double>(batches);
-    };
-    state.counters["commit_ns"] = per_batch(commit_ns);
-    state.counters["plan_ns"] = per_batch(plan_ns);
-    state.counters["resolve_ns"] = per_batch(resolve_ns);
-    state.counters["stage1_ns"] = per_batch(stage1_ns);
-    state.counters["stage2_ns"] = per_batch(stage2_ns);
-  }
+  run_join_leave_batches(state, system, 4096, 8);
   state.counters["bytes_per_node"] =
       static_cast<double>(system.footprint_bytes()) /
       static_cast<double>(system.num_nodes());

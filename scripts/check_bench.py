@@ -133,7 +133,7 @@ def check_micro_file(name: str, base: dict, cur: dict, wall_tol: float,
 # row *within the same run* (same machine, same build — wall-clock noise
 # cancels, unlike baseline diffs). Warn-only like every wall-clock check.
 OBS_ROW = "BM_JoinLeaveCycleObs/100000/4/manual_time"
-OBS_BASELINE_ROW = "BM_JoinLeaveCycle/100000/4/0/manual_time"
+OBS_BASELINE_ROW = "BM_JoinLeaveCycle/100000/4/manual_time"
 OBS_OVERHEAD_TOLERANCE = 1.03
 
 

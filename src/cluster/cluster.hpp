@@ -101,16 +101,6 @@ class Cluster {
     return members()[index];
   }
 
-  /// Sorted position of `node` (the inverse of member_at; O(log size)).
-  /// The batch commit keys its conflict-detection footprints on the slab
-  /// position slab.first(slot) + index_of(node).
-  [[nodiscard]] std::size_t index_of(NodeId node) const {
-    const auto m = members();
-    const auto it = std::lower_bound(m.begin(), m.end(), node);
-    assert(it != m.end() && *it == node && "member not present");
-    return static_cast<std::size_t>(it - m.begin());
-  }
-
   /// Uniformly random member.
   [[nodiscard]] NodeId random_member(Rng& rng) const {
     const auto m = members();

@@ -8,8 +8,7 @@
 // of the whole membership is one bulk write per slot's member run.
 //
 // Layout determinism contract: the extent table (and therefore every slab
-// position, which the optimistic resolve keys its conflict footprints on)
-// must be bit-identical across shard counts and resolve modes. That holds
+// position) must be bit-identical across shard counts. That holds
 // because the pool is only ever reshaped at sequential points:
 //   * insert_sorted / erase_sorted / assign — the sequential engine and the
 //     stage-2 split/merge/spill paths;
@@ -96,12 +95,6 @@ class MemberSlab {
 
   [[nodiscard]] std::size_t size(std::size_t slot) const {
     return static_cast<std::size_t>(extents_[slot].size);
-  }
-
-  /// Slab position of the slot's first member — the base the batch commit's
-  /// conflict footprints key member positions on (first + index_of(node)).
-  [[nodiscard]] std::uint64_t first(std::size_t slot) const {
-    return extents_[slot].first;
   }
 
   [[nodiscard]] const Extent& extent(std::size_t slot) const {

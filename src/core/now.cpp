@@ -1,7 +1,6 @@
 #include "core/now.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <cmath>
@@ -55,29 +54,23 @@ over::OverParams make_over_params(const NowParams& p) {
 // The sharded engine splits every batch into a PLAN phase (random decisions
 // + cost accounting against the frozen start-of-step state; runs
 // concurrently, one shard per thread, each operation and each exchange wave
-// on its own derived RNG stream) and a COMMIT phase (an optimistic parallel
-// resolve + sequential conflict replay decides every membership move,
-// stage 1 applies the per-cluster edits shard-parallel, stage 2 merges size
-// deltas and runs the deferred splits/merges sequentially). Plans never
+// on its own derived RNG stream) and a COMMIT phase (a sequential resolve
+// decides every membership move in canonical order, stage 1 applies the
+// per-cluster edits shard-parallel, stage 2 merges size deltas and runs the
+// deferred splits/merges sequentially). Plans never
 // touch NowState non-const — everything they decide is recorded here.
 // The snapshot aggregates live in the persistent, incrementally maintained
 // PlanCache (core/plan_cache.hpp).
 
 /// One exchange swap decided during planning: x (member of the wave's
-/// cluster) trades places with y (member of the partner). Both endpoints
-/// are recorded by home-cluster SLOT and by SLAB POSITION
-/// (MemberSlab::first(slot) + sorted member index — extents are frozen
-/// between the snapshot and the commit, so positions are stable and
-/// injective) at plan time, so the commit's conflict detection needs no
-/// paged home lookups: a swap conflicts exactly when one of its slab
-/// footprints is touched by more than one planned move.
+/// cluster) trades places with y (member of the partner). Both planned
+/// homes are recorded by cluster SLOT, so the resolve's fast path (both
+/// endpoints still at their planned homes) needs no paged slot lookups.
 struct PendingSwap {
   NodeId x;
   NodeId y;
   std::uint32_t from_slot = 0;
   std::uint32_t to_slot = 0;
-  std::uint32_t x_flat = 0;
-  std::uint32_t y_flat = 0;
 };
 
 /// One scheduled exchange wave (DESIGN.md §7): cluster `cluster` shuffles
@@ -119,8 +112,8 @@ constexpr std::size_t kNoWave = static_cast<std::size_t>(-1);
 /// Batch-engine state persisting across time steps (owned by NowSystem
 /// through a unique_ptr; the header only forward-declares it). Everything
 /// here is either a cache whose content survives batches (PlanCache, the
-/// per-cluster wave caches) or scratch whose *capacity* survives (footprint
-/// counters, per-slot edit buffers, per-shard workspaces) so steady-state
+/// per-cluster wave caches) or scratch whose *capacity* survives (per-slot
+/// edit buffers, per-shard workspaces) so steady-state
 /// batches run allocation-free. Per-slot scratch is epoch-stamped
 /// (DESIGN.md §11): `slot_epoch` bumps once per batch, every write stamps
 /// it, and a read whose stamp is stale sees "untouched" — no per-batch
@@ -159,10 +152,9 @@ struct BatchScratch {
 
   /// Batch leavers grouped by home slot; `leavers_by_slot[slot]` is only
   /// meaningful when `leaver_epoch_of_slot[slot] == slot_epoch` (read it
-  /// through leavers_of()). `leaver_slots` lists this batch's slots.
+  /// through leavers_of()).
   std::vector<std::vector<NodeId>> leavers_by_slot;
   std::vector<std::uint64_t> leaver_epoch_of_slot;
-  std::vector<std::uint32_t> leaver_slots;
   /// Wave index per touched slot, epoch-stamped (read through wave_of()).
   std::vector<std::size_t> wave_of_slot;
   std::vector<std::uint64_t> wave_epoch_of_slot;
@@ -170,40 +162,21 @@ struct BatchScratch {
   /// cluster's slot is as unique as its id within a batch).
   std::vector<std::uint64_t> candidate_epoch_of_slot;
 
-  /// Epoch-stamped footprint counters over slab positions (sized to
-  /// MemberSlab::tail(); epoch stamps absorb layout changes between
-  /// batches): entry = (epoch << 4) | leaver_bit(8) | saturating move
-  /// count (0..2). The commit's conflict detection keys on these — no
-  /// per-batch clearing, no paged lookups.
-  std::vector<std::uint64_t> foot;
-  std::uint64_t foot_epoch = 0;
-
-  /// Per-canonical-swap resolution outcome (kApply and friends below).
-  std::vector<std::uint8_t> fate;
-  /// Canonical wave listing (primaries then secondaries) and, in parallel
-  /// resolve mode, each wave's prefix offset into `fate` — rebuilt every
-  /// batch, capacities kept.
-  std::vector<const PlannedWave*> all_waves;
-  std::vector<std::size_t> wave_swap_offset;
-
   // Commit-engine scratch: the per-cluster-slot edit buffers (the resolve
-  // passes append, the stage-1 worker that owns the slot empties them) and
-  // the per-shard stage-1 workspaces (merge buffers + signed size-delta
-  // arrays + swap-edit touch lists).
+  // appends, the stage-1 worker that owns the slot empties them) and the
+  // per-shard stage-1 workspaces (merge buffers + signed size-delta
+  // arrays).
   std::vector<std::vector<NowState::MemberEdit>> edit_scratch;
   std::vector<NowState::EditScratch> edit_workspaces;
   std::vector<std::vector<std::pair<std::size_t, std::int64_t>>>
       delta_scratch;
-  std::vector<std::vector<std::size_t>> touched_scratch;
 
   // Commit-phase scratch that used to be per-batch locals; hoisted so
   // steady-state batches stay allocation-free (capacities persist).
-  std::vector<std::size_t> seq_touched;
+  std::vector<std::size_t> touched_slots;
   std::vector<ClusterId> candidates;
   std::vector<std::pair<std::size_t, std::int64_t>> all_deltas;
   std::vector<std::pair<std::size_t, const std::vector<NodeId>*>> spilled;
-  std::vector<std::size_t> shard_drops;
-  std::vector<std::size_t> shard_replays;
 
   /// Grows every per-slot scratch array to `slot_count` entries, with
   /// geometric over-allocation so total growth work stays amortized O(1)
@@ -235,37 +208,6 @@ struct BatchScratch {
                                                   : kNoWave;
   }
 
-  [[nodiscard]] std::uint64_t foot_value(std::uint64_t flat) const {
-    const std::uint64_t entry = foot[flat];
-    return (entry >> 4) == foot_epoch ? (entry & 0xF) : 0;
-  }
-  void foot_mark_leaver(std::uint64_t flat) {
-    foot[flat] = (foot_epoch << 4) | foot_value(flat) | 0x8;
-  }
-  /// Epoch-aware saturating move count, callable concurrently from the
-  /// wave planners: the footprint pass is folded into wave planning (both
-  /// swap endpoints are known there), shaving the dedicated
-  /// post-planning sweep the commit used to make. The final
-  /// entry is order-independent — the count saturates at 2, the leaver
-  /// bit is only OR-ed in sequentially before planning starts, and every
-  /// writer stamps the same epoch — so the committed state stays
-  /// bit-identical to the sequential sweep's.
-  void foot_count_move_atomic(std::uint64_t flat) {
-    std::atomic_ref<std::uint64_t> ref(foot[flat]);
-    std::uint64_t cur = ref.load(std::memory_order_relaxed);
-    while (true) {
-      const std::uint64_t value =
-          (cur >> 4) == foot_epoch ? (cur & 0xF) : 0;
-      const std::uint64_t count = value & 0x3;
-      const std::uint64_t next = (foot_epoch << 4) | (value & 0x8) |
-                                 (count < 2 ? count + 1 : count);
-      if (ref.compare_exchange_weak(cur, next,
-                                    std::memory_order_relaxed)) {
-        return;
-      }
-    }
-  }
-
   /// Resident bytes of the persistent batch-engine state: the PlanCache
   /// plus every scratch buffer, capacities included down one nesting level
   /// — the batch half of NowSystem::footprint_bytes().
@@ -288,11 +230,9 @@ struct BatchScratch {
     for (const auto& a : assignment) bytes += vec_bytes(a);
     bytes += vec_bytes(leavers_by_slot);
     for (const auto& l : leavers_by_slot) bytes += vec_bytes(l);
-    bytes += vec_bytes(leaver_epoch_of_slot) + vec_bytes(leaver_slots) +
+    bytes += vec_bytes(leaver_epoch_of_slot) +
              vec_bytes(wave_of_slot) + vec_bytes(wave_epoch_of_slot) +
-             vec_bytes(candidate_epoch_of_slot) + vec_bytes(foot) +
-             vec_bytes(fate) + vec_bytes(all_waves) +
-             vec_bytes(wave_swap_offset);
+             vec_bytes(candidate_epoch_of_slot);
     bytes += vec_bytes(edit_scratch);
     for (const auto& e : edit_scratch) bytes += vec_bytes(e);
     bytes += vec_bytes(edit_workspaces);
@@ -306,20 +246,10 @@ struct BatchScratch {
     }
     bytes += vec_bytes(delta_scratch);
     for (const auto& d : delta_scratch) bytes += vec_bytes(d);
-    bytes += vec_bytes(touched_scratch);
-    for (const auto& t : touched_scratch) bytes += vec_bytes(t);
-    bytes += vec_bytes(seq_touched) + vec_bytes(candidates) +
-             vec_bytes(all_deltas) + vec_bytes(spilled) +
-             vec_bytes(shard_drops) + vec_bytes(shard_replays);
+    bytes += vec_bytes(touched_slots) + vec_bytes(candidates) +
+             vec_bytes(all_deltas) + vec_bytes(spilled);
     return bytes;
   }
-};
-
-/// Optimistic-resolve outcomes (BatchScratch::fate).
-enum : std::uint8_t {
-  kFateApply = 0,    // resolved in parallel: apply at the planned slots
-  kFateDrop = 1,     // resolved in parallel: partner left, swap dropped
-  kFateReplayed = 2  // handed to the sequential conflict pass
 };
 
 namespace {
@@ -350,16 +280,10 @@ RandClResult plan_rand_cl(const NowState& state, const NowParams& params,
 /// planning never consumes the majority-rule outcome, so the per-call
 /// Byzantine count is skipped while the charged cost stays identical to
 /// cluster_send's.
-///
-/// When `foot` is non-null (the optimistic resolve is selected for this
-/// batch), each planned swap's two flat endpoints are counted into the
-/// footprint array right here — the endpoints are already at hand, so the
-/// commit's separate footprint sweep over every wave's swap list is gone.
 void plan_wave(const NowState& state, const NowParams& params,
                PlannedWave& wave, ClusterWaveCache& out,
                std::span<const NodeId> skips, const PlanCache& cache,
-               WaveWorkspace& ws, BatchScratch* foot, Metrics& metrics,
-               Rng& rng) {
+               WaveWorkspace& ws, Metrics& metrics, Rng& rng) {
   OpScope scope(metrics, "exchange");
   const ClusterId c = wave.cluster;
   const std::size_t c_index = cache.index_by_slot[wave.slot];
@@ -368,12 +292,10 @@ void plan_wave(const NowState& state, const NowParams& params,
   const std::size_t c_size = cache.cluster_by_index[c_index]->size();
   const std::uint64_t c_neighborhood = cache.neighborhood_by_index[c_index];
   const cluster::MemberSlab& slab = state.member_slab();
-  const std::uint64_t c_flat = slab.first(wave.slot);
   const std::span<const NodeId> snapshot =
       cache.cluster_by_index[c_index]->members();
   const bool sampled = params.walk_mode == WalkMode::kSampleExact;
-  for (std::size_t pos = 0; pos < snapshot.size(); ++pos) {
-    const NodeId x = snapshot[pos];
+  for (const NodeId x : snapshot) {
     if (std::find(skips.begin(), skips.end(), x) != skips.end()) continue;
     // Pick the counterpart cluster with randCl (law |C'|/n); a walk landing
     // back home is re-run (bounded retries). The sampled mode draws through
@@ -410,15 +332,9 @@ void plan_wave(const NowState& state, const NowParams& params,
       const auto draw = cluster::rand_num_value(
           to_size, to_size, params.rand_num_mode, metrics, rng);
       chain_rounds += draw.cost.rounds;
-      const PendingSwap swap{
+      out.swaps.push_back(PendingSwap{
           x, to_members[static_cast<std::size_t>(draw.value)], wave.slot,
-          partner_slot, static_cast<std::uint32_t>(c_flat + pos),
-          static_cast<std::uint32_t>(slab.first(partner_slot) + draw.value)};
-      out.swaps.push_back(swap);
-      if (foot != nullptr) {
-        foot->foot_count_move_atomic(swap.x_flat);
-        foot->foot_count_move_atomic(swap.y_flat);
-      }
+          partner_slot});
       // One coalesced charge: the x <-> y handoff (2 units each way), the
       // composition deltas to both neighborhoods (2 units) and the overlay
       // info the newcomers receive — identical units to the sequential
@@ -506,10 +422,6 @@ void NowSystem::invalidate_plan_cache() { batch_->cache.invalidate(); }
 
 std::size_t NowSystem::footprint_bytes() const {
   return state_.footprint_bytes() + batch_->footprint_bytes();
-}
-
-std::size_t NowSystem::debug_foot_capacity() const {
-  return batch_->foot.capacity();
 }
 
 bool NowSystem::plan_cache_consistent() const {
@@ -735,14 +647,7 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel(
 ThreadPool& NowSystem::pool_for(std::size_t shards) {
   const std::size_t hardware = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::thread::hardware_concurrency()));
-  std::size_t wanted = std::min(shards, hardware) - 1;
-  // kOptimistic exists to exercise the parallel resolve; guarantee a real
-  // worker thread even on single-core hosts so the threaded paths
-  // (classification, edit gather) actually run threaded there — and so
-  // TSan sees them regardless of the runner's core count.
-  if (params_.resolve_mode == ResolveMode::kOptimistic && shards > 1) {
-    wanted = std::max<std::size_t>(wanted, 1);
-  }
+  const std::size_t wanted = std::min(shards, hardware) - 1;
   if (pool_ == nullptr || pool_->worker_count() < wanted) {
     pool_ = std::make_unique<ThreadPool>(wanted);
   }
@@ -815,7 +720,6 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
   const std::size_t total_ops = joins + leaves.size();
   ++bs.slot_epoch;
   bs.ensure_slot_capacity(slot_count);
-  bs.leaver_slots.clear();
   bs.op_is_join.resize(total_ops);
   bs.op_node.resize(total_ops);
   bs.op_target.resize(total_ops, ClusterId::invalid());
@@ -843,7 +747,6 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
     if (bs.leaver_epoch_of_slot[slot] != bs.slot_epoch) {
       bs.leaver_epoch_of_slot[slot] = bs.slot_epoch;
       bs.leavers_by_slot[slot].clear();
-      bs.leaver_slots.push_back(static_cast<std::uint32_t>(slot));
     }
     bs.leavers_by_slot[slot].push_back(leaves[j]);
   }
@@ -852,35 +755,6 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
   // read from here until the commit phase below.
   const NowState& snapshot = state_;
   ThreadPool& pool = pool_for(shards);
-
-  // Resolve strategy, decided up front: the optimistic resolve's footprint
-  // counters are populated by the wave planners in-flight (both endpoints
-  // of a swap are known at plan time — the dedicated post-planning sweep
-  // over every wave's swap list is gone), so the epoch bump, the array
-  // sizing and the sequential leaver marks must all happen before the
-  // planners start.
-  const bool pooled = pool.worker_count() > 0 && shards > 1;
-  const bool optimistic =
-      params_.resolve_mode == ResolveMode::kOptimistic ||
-      (params_.resolve_mode == ResolveMode::kAuto && pooled);
-  if (optimistic) {
-    ++bs.foot_epoch;
-    const cluster::MemberSlab& slab = state_.member_slab();
-    if (bs.foot.size() < slab.tail()) {
-      // Geometric growth: the epoch stamps make old content invisible, so
-      // only capacity matters and total resize work stays amortized O(1)
-      // per batch instead of O(tail) on every tail advance.
-      bs.foot.resize(
-          std::max<std::size_t>(slab.tail(), 2 * bs.foot.size()), 0);
-    }
-    for (const std::uint32_t slot : bs.leaver_slots) {
-      const std::size_t index = cache.index_by_slot[slot];
-      const cluster::Cluster& home = *cache.cluster_by_index[index];
-      for (const NodeId leaver : bs.leavers_by_slot[slot]) {
-        bs.foot_mark_leaver(slab.first(slot) + home.index_of(leaver));
-      }
-    }
-  }
 
   // Per-op RNG streams, derived in one bulk kernel (ops occupy substreams
   // [0, total_ops); the wave tiers continue the numbering below).
@@ -958,7 +832,7 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
       Rng wave_rng = bs.wave_rng[w];
       plan_wave(snapshot, params_, wave, bs.wave_cache[wave.slot],
                 bs.leavers_of(wave.slot), cache, bs.wave_ws[s],
-                optimistic ? &bs : nullptr, shard_metrics[s], wave_rng);
+                shard_metrics[s], wave_rng);
     }
   });
 
@@ -1004,7 +878,7 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
       Rng wave_rng = bs.wave_rng[w];
       plan_wave(snapshot, params_, wave, bs.wave_cache[wave.slot],
                 bs.leavers_of(wave.slot), cache, bs.wave_ws[s],
-                optimistic ? &bs : nullptr, shard_metrics[s], wave_rng);
+                shard_metrics[s], wave_rng);
     }
   });
   combined.wave_count = bs.primaries.size() + bs.secondaries.size();
@@ -1032,8 +906,8 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
   rounds_max += primary_rounds + secondary_rounds;
   plan_span.stop();
 
-  // --- Commit (DESIGN.md §7): optimistic parallel resolve + conflict
-  // replay, then the two parallel/sequential apply stages.
+  // --- Commit (DESIGN.md §7): sequential resolve, then the two
+  // parallel/sequential apply stages.
   std::uint64_t commit_rounds = 0;
   obs::ScopedSpan commit_span(obs::Cat::kStep, "step.commit",
                               &combined.commit_ns, batch_id);
@@ -1044,17 +918,17 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
     // canonical order — join adds + home writes, leave removes + ground
     // truth erasure — into per-cluster-slot edit lists. node_home is
     // written directly as moves resolve, so it doubles as the within-batch
-    // home map for the conflict replay below. Also collects the
+    // home map for the swap resolve below. Also collects the
     // restructuring candidates in first-touch order (swaps are
     // size-neutral, so only op targets can cross a threshold).
     obs::ScopedSpan resolve_span(obs::Cat::kStep, "step.resolve",
                                  &combined.resolve_ns, batch_id);
-    std::vector<std::size_t>& seq_touched = bs.seq_touched;
+    std::vector<std::size_t>& touched_slots = bs.touched_slots;
     std::vector<ClusterId>& candidates = bs.candidates;
-    seq_touched.clear();
+    touched_slots.clear();
     candidates.clear();  // resized clusters, first touch
     const auto record = [&](std::size_t slot, NodeId n, bool add) {
-      if (bs.edit_scratch[slot].empty()) seq_touched.push_back(slot);
+      if (bs.edit_scratch[slot].empty()) touched_slots.push_back(slot);
       bs.edit_scratch[slot].push_back(NowState::MemberEdit{n, add});
     };
     for (std::size_t i = 0; i < total_ops; ++i) {
@@ -1079,156 +953,42 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
       }
     }
 
-    // Resolve, part 2 — OPTIMISTIC RESOLVE (DESIGN.md §7). A footprint
-    // pass counts, per flat snapshot position, how many planned moves
-    // touch each node (and marks the batch's leavers); swaps whose
-    // endpoints are each touched exactly once resolve WITHOUT consulting
-    // node_home — x is never relocated by an earlier move (a leaver x is
-    // excluded from its wave; joiners are absent from the snapshot) and
-    // y's home is its snapshot cluster unless y left, so the canonical
-    // sequential outcome is: drop iff y is a leaver, apply at the planned
-    // slots otherwise. The footprint-flagged remainder re-resolves
-    // sequentially in canonical order at the nodes' *current* homes,
-    // exactly like the historical sequential resolve. Three bit-identical
-    // execution strategies (ResolveMode):
-    //
-    //   * PARALLEL (kAuto with pool workers, or kOptimistic): shard-
-    //     parallel classification writes per-swap fates + disjoint
-    //     node_home entries, the flagged remainder replays sequentially,
-    //     and stage-1 workers gather their slots' edits from the fates.
-    //   * SEQUENTIAL (kAuto without pool workers, or kSequential): the
-    //     canonical resolve — every swap re-resolves at the nodes' current
-    //     homes (resolve_replays stays 0 here). A planned-slot fast path
-    //     (homes still match the plan, the overwhelmingly common case)
-    //     skips the per-swap paged slot lookups; measured faster on one
-    //     hardware thread than paying the footprint passes
-    //     (BM_JoinLeaveCycle's resolve-mode axis tracks all three).
-    //
-    // Outcomes are provably identical swap by swap, so the committed state
-    // is independent of both the strategy and the shard count.
-    std::vector<const PlannedWave*>& all_waves = bs.all_waves;
-    all_waves.clear();
-    all_waves.reserve(bs.primaries.size() + bs.secondaries.size());
-    for (const PlannedWave& wave : bs.primaries) all_waves.push_back(&wave);
-    for (const PlannedWave& wave : bs.secondaries) {
-      all_waves.push_back(&wave);
-    }
-    const bool parallel = optimistic;
-    const bool gather = parallel && pooled;
+    // Resolve, part 2 (DESIGN.md §7): every planned swap, in canonical
+    // wave order, re-resolves at the nodes' CURRENT homes — an earlier
+    // move in this batch may have relocated an endpoint, or an endpoint
+    // may have left. A swap is dropped (a conflict) only when an endpoint
+    // left or both now share a cluster; otherwise x and y trade their
+    // current homes. The committed state is therefore a pure function of
+    // the canonical plan, independent of the shard count.
     const auto cluster_of_slot = [&cache](std::uint32_t slot) {
       return cache.id_by_index[cache.index_by_slot[slot]];
     };
-    /// The edit shape of one applied swap, shared by every strategy's
-    /// recording site (sequential fast path, single-thread scatter,
-    /// parallel gather) so it can never diverge between them: x moves
-    /// from its planned home to the partner's, y the other way.
-    const auto record_swap_edits = [](auto&& sink, const PendingSwap& swap) {
-      sink(swap.from_slot, swap.x, /*add=*/false);
-      sink(swap.to_slot, swap.x, /*add=*/true);
-      sink(swap.to_slot, swap.y, /*add=*/false);
-      sink(swap.from_slot, swap.y, /*add=*/true);
-    };
-    /// The historical per-swap rule, shared by the sequential strategy and
-    /// the conflict replays: re-resolve at current homes, drop when an
-    /// endpoint left or both collapsed into one cluster.
-    const auto resolve_at_current_homes = [&](const PendingSwap& swap) {
-      const ClusterId x_home = state_.home_of(swap.x);
-      const ClusterId y_home = state_.home_of(swap.y);
-      if (!x_home.valid() || !y_home.valid() || x_home == y_home) {
-        ++combined.conflicts;
-        return;
-      }
-      const std::size_t x_slot = state_.slot_index(x_home);
-      const std::size_t y_slot = state_.slot_index(y_home);
-      record(x_slot, swap.x, /*add=*/false);
-      record(y_slot, swap.x, /*add=*/true);
-      record(y_slot, swap.y, /*add=*/false);
-      record(x_slot, swap.y, /*add=*/true);
-      state_.commit_home(swap.x, y_home);
-      state_.commit_home(swap.y, x_home);
-    };
-    std::vector<std::size_t>& wave_swap_offset = bs.wave_swap_offset;
-    if (parallel) {
-      wave_swap_offset.resize(all_waves.size());
-      std::size_t total_swaps = 0;
-      for (std::size_t w = 0; w < all_waves.size(); ++w) {
-        wave_swap_offset[w] = total_swaps;
-        total_swaps += bs.wave_cache[all_waves[w]->slot].swaps.size();
-      }
-      // Footprints were already counted by the wave planners (and the
-      // leaver marks written before planning); no sweep needed here.
-      bs.fate.resize(total_swaps);
-      std::vector<std::size_t>& shard_drops = bs.shard_drops;
-      std::vector<std::size_t>& shard_replays = bs.shard_replays;
-      shard_drops.assign(shards, 0);
-      shard_replays.assign(shards, 0);
-      pool.parallel_for(shards, [&](std::size_t s) {
-        std::size_t drops = 0;
-        std::size_t replays = 0;
-        for (std::size_t w = 0; w < all_waves.size(); ++w) {
-          if (w % shards != s) continue;
-          const auto& swaps = bs.wave_cache[all_waves[w]->slot].swaps;
-          std::uint8_t* fate = bs.fate.data() + wave_swap_offset[w];
-          for (std::size_t i = 0; i < swaps.size(); ++i) {
-            const PendingSwap& swap = swaps[i];
-            const std::uint64_t x_foot = bs.foot_value(swap.x_flat);
-            const std::uint64_t y_foot = bs.foot_value(swap.y_flat);
-            if ((x_foot & 0x3) > 1 || (y_foot & 0x3) > 1) {
-              fate[i] = kFateReplayed;
-              ++replays;
-              continue;
-            }
-            if ((y_foot & 0x8) != 0) {  // the partner leaves this batch
-              fate[i] = kFateDrop;
-              ++drops;
-              continue;
-            }
-            fate[i] = kFateApply;
-            state_.commit_home(swap.x, cluster_of_slot(swap.to_slot));
-            state_.commit_home(swap.y, cluster_of_slot(swap.from_slot));
-          }
-        }
-        shard_drops[s] = drops;
-        shard_replays[s] = replays;
-      });
-      for (std::size_t s = 0; s < shards; ++s) {
-        combined.conflicts += shard_drops[s];
-        combined.resolve_replays += shard_replays[s];
-      }
-
-      // Conflict replay (sequential, canonical order): the rare swaps
-      // whose endpoints collide re-resolve at the nodes' *current* homes;
-      // a swap is dropped only when an endpoint left in this batch or
-      // both now share a cluster — the historical sequential-resolve rule.
-      if (combined.resolve_replays > 0) {
-        for (std::size_t w = 0; w < all_waves.size(); ++w) {
-          const auto& swaps = bs.wave_cache[all_waves[w]->slot].swaps;
-          const std::uint8_t* fate = bs.fate.data() + wave_swap_offset[w];
-          for (std::size_t i = 0; i < swaps.size(); ++i) {
-            if (fate[i] == kFateReplayed) resolve_at_current_homes(swaps[i]);
-          }
-        }
-      }
-    } else {
-      for (const PlannedWave* wave : all_waves) {
-        const auto& swaps = bs.wave_cache[wave->slot].swaps;
-        for (std::size_t i = 0; i < swaps.size(); ++i) {
-          const PendingSwap& swap = swaps[i];
+    for (const auto* tier : {&bs.primaries, &bs.secondaries}) {
+      for (const PlannedWave& wave : *tier) {
+        for (const PendingSwap& swap : bs.wave_cache[wave.slot].swaps) {
           // Fast path: both endpoints still live at their planned homes
           // (no earlier move touched them — the overwhelmingly common
           // case), so the planned u32 slots apply directly and the paged
-          // slot lookups are skipped. Identical outcome to the general
-          // rule below, which re-reads the homes it needs.
-          const ClusterId from_id = cluster_of_slot(swap.from_slot);
-          const ClusterId to_id = cluster_of_slot(swap.to_slot);
-          if (state_.home_of(swap.x) == from_id &&
-              state_.home_of(swap.y) == to_id) {
-            record_swap_edits(record, swap);
-            state_.commit_home(swap.x, to_id);
-            state_.commit_home(swap.y, from_id);
-            continue;
+          // slot lookups are skipped.
+          const ClusterId x_home = state_.home_of(swap.x);
+          const ClusterId y_home = state_.home_of(swap.y);
+          std::size_t x_slot = swap.from_slot;
+          std::size_t y_slot = swap.to_slot;
+          if (x_home != cluster_of_slot(swap.from_slot) ||
+              y_home != cluster_of_slot(swap.to_slot)) {
+            if (!x_home.valid() || !y_home.valid() || x_home == y_home) {
+              ++combined.conflicts;
+              continue;
+            }
+            x_slot = state_.slot_index(x_home);
+            y_slot = state_.slot_index(y_home);
           }
-          resolve_at_current_homes(swap);
+          record(x_slot, swap.x, /*add=*/false);
+          record(y_slot, swap.x, /*add=*/true);
+          record(y_slot, swap.y, /*add=*/false);
+          record(x_slot, swap.y, /*add=*/true);
+          state_.commit_home(swap.x, y_home);
+          state_.commit_home(swap.y, x_home);
         }
       }
     }
@@ -1238,66 +998,24 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
                                 &combined.stage1_ns, batch_id);
 
     // Stage 1 (parallel): slots are partitioned into CONTIGUOUS blocks
-    // (one per shard); each worker first GATHERS its block's share of the
-    // optimistically applied swaps' edits from the fate array (scanning in
-    // canonical order, so per-slot edit lists are identical whichever
-    // strategy or worker produces them) and then applies its clusters'
-    // member edits. Cluster size changes are accumulated per shard, not
-    // written to the Fenwick mirror. Block (not mod-K) ownership keeps
-    // each worker's stores in disjoint cache-line ranges of the slot
-    // table. With no pool workers the K gather scans would run back to
-    // back on one thread, so the single-threaded path scatters all edits
-    // in one sequential pass instead — same lists, same results.
+    // (one per shard); each worker applies its block's member edits.
+    // Cluster size changes are accumulated per shard, not written to the
+    // Fenwick mirror. Block (not mod-K) ownership keeps each worker's
+    // stores in disjoint cache-line ranges of the slot table.
     const std::size_t slot_block = (slot_count + shards - 1) / shards;
     if (bs.edit_workspaces.size() < shards) {
       bs.edit_workspaces.resize(shards);
     }
     if (bs.delta_scratch.size() < shards) bs.delta_scratch.resize(shards);
-    if (bs.touched_scratch.size() < shards) {
-      bs.touched_scratch.resize(shards);
-    }
-    for (std::size_t s = 0; s < shards; ++s) {
-      bs.delta_scratch[s].clear();
-      bs.touched_scratch[s].clear();
-    }
-    if (parallel && !gather) {
-      for (std::size_t w = 0; w < all_waves.size(); ++w) {
-        const auto& swaps = bs.wave_cache[all_waves[w]->slot].swaps;
-        const std::uint8_t* fate = bs.fate.data() + wave_swap_offset[w];
-        for (std::size_t i = 0; i < swaps.size(); ++i) {
-          if (fate[i] == kFateApply) record_swap_edits(record, swaps[i]);
-        }
-      }
-    }
+    for (std::size_t s = 0; s < shards; ++s) bs.delta_scratch[s].clear();
     pool.parallel_for(shards, [&](std::size_t s) {
-      if (gather) {
-        const std::size_t lo = s * slot_block;
-        const std::size_t hi = lo + slot_block;
-        auto& touched = bs.touched_scratch[s];
-        const auto gather_edit = [&](std::uint32_t slot, NodeId n,
-                                     bool add) {
-          if (slot < lo || slot >= hi) return;
-          if (bs.edit_scratch[slot].empty()) touched.push_back(slot);
-          bs.edit_scratch[slot].push_back(NowState::MemberEdit{n, add});
-        };
-        for (std::size_t w = 0; w < all_waves.size(); ++w) {
-          const auto& swaps = bs.wave_cache[all_waves[w]->slot].swaps;
-          const std::uint8_t* fate = bs.fate.data() + wave_swap_offset[w];
-          for (std::size_t i = 0; i < swaps.size(); ++i) {
-            if (fate[i] == kFateApply) record_swap_edits(gather_edit, swaps[i]);
-          }
-        }
-      }
-      const auto apply = [&](std::size_t slot) {
+      for (const std::size_t slot : touched_slots) {
+        if (slot / slot_block != s) continue;
         const std::int64_t delta = state_.apply_member_edits(
             slot, bs.edit_scratch[slot], bs.edit_workspaces[s]);
         if (delta != 0) bs.delta_scratch[s].emplace_back(slot, delta);
         bs.edit_scratch[slot].clear();
-      };
-      for (const std::size_t slot : seq_touched) {
-        if (slot / slot_block == s) apply(slot);
       }
-      for (const std::size_t slot : bs.touched_scratch[s]) apply(slot);
     });
     stage1_span.stop();
     obs::ScopedSpan stage2_span(obs::Cat::kStep, "step.stage2",
@@ -1345,6 +1063,7 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
     // linear scan — an order that must therefore be shard-count
     // independent. Slots are unique per batch (one owner each).
     std::sort(all_deltas.begin(), all_deltas.end());
+    const bool pooled = pool.worker_count() > 0 && shards > 1;
     state_.apply_size_deltas(all_deltas, pooled ? &pool : nullptr, shards);
     state_.adjust_placed_count(static_cast<std::int64_t>(joins) -
                                static_cast<std::int64_t>(leaves.size()));

@@ -67,12 +67,6 @@ struct PlanCache {
   /// Refreshed every batch (n and k move), O(1).
   RandClResult walk;
 
-  // The commit's conflict detection keys its footprint counters directly
-  // on SLAB POSITIONS (MemberSlab::first(slot) + sorted member index):
-  // extents are frozen between snapshot and commit, so the positions are
-  // stable, injective, and known at plan time — no per-batch prefix-sum
-  // flat-offset table and no paged home lookups are needed.
-
   // ------------------------------------------------------- alias sampler
   /// Stale Vose table (exact integer thresholds over table_total units).
   std::vector<std::uint64_t> alias_threshold;

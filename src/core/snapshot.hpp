@@ -17,7 +17,7 @@
 // load, then debug-asserted consistent_with(state).
 //
 // Restore-then-continue is bit-identical to the uninterrupted run for
-// every shard count and every ResolveMode (tests/core/snapshot_test.cpp).
+// every shard count (tests/core/snapshot_test.cpp).
 //
 // File format: an 8-byte magic, a little-endian u32 format version, the
 // payload, and a trailing FNV-1a-64 checksum of the payload. Loading
@@ -204,12 +204,10 @@ class SnapshotReader {
 [[nodiscard]] std::uint64_t fnv1a64(const std::uint8_t* data,
                                     std::size_t size);
 
-/// Serializes the behavior-relevant NowParams fields. resolve_mode is
-/// deliberately excluded: every resolve strategy is bit-identical, so a
-/// snapshot or trace may be resumed/replayed under any of them.
+/// Serializes the behavior-relevant NowParams fields.
 void save_params(const NowParams& params, SnapshotWriter& writer);
 
-/// Reads params written by save_params (resolve_mode is left default).
+/// Reads params written by save_params.
 [[nodiscard]] NowParams read_params(SnapshotReader& reader);
 
 /// Reads params and throws SnapshotError naming the first field that

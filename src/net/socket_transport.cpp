@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <string>
 #include <utility>
 
 #include "net/wire.hpp"
@@ -96,13 +97,25 @@ struct ParsedFrame {
   std::span<const std::uint8_t> body;
 };
 
+/// Largest legitimate length prefix (kind byte + body). A control body is
+/// one u64 and a DATA body is one wire frame, which encode_frame never
+/// emits above kMaxFrameBytes. A larger prefix can only come from a broken
+/// or hostile peer; waiting for its body would buffer without bound.
+constexpr std::uint32_t kMaxFrameLength =
+    static_cast<std::uint32_t>(1 + kMaxFrameBytes);
+
 /// Extracts the next complete frame from `buf` starting at `offset`, or
 /// returns false if more bytes are needed. Advances `offset` past the frame.
+/// Throws TransportError on a length prefix outside [1, kMaxFrameLength].
 [[nodiscard]] bool next_frame(const std::vector<std::uint8_t>& buf,
                               std::size_t& offset, ParsedFrame& out) {
   if (buf.size() - offset < 4) return false;
   const std::uint32_t len = get_u32(buf.data() + offset);
   if (len < 1) throw TransportError("socket frame with empty body");
+  if (len > kMaxFrameLength) {
+    throw TransportError("socket frame length " + std::to_string(len) +
+                         " exceeds the frame bound");
+  }
   if (buf.size() - offset < 4 + static_cast<std::size_t>(len)) return false;
   out.kind = static_cast<FrameKind>(buf[offset + 4]);
   out.body = std::span<const std::uint8_t>(buf.data() + offset + 5, len - 1);
@@ -234,11 +247,16 @@ struct SocketHub::Impl {
     // Blocking read of the HELLO frame (spokes send it immediately).
     std::size_t offset = 0;
     ParsedFrame frame{};
-    while (!next_frame(conn.rbuf, offset, frame)) {
-      if (!read_some_blocking(fd, conn.rbuf)) {
-        ::close(fd);
-        return;  // died during handshake; never joined
+    try {
+      while (!next_frame(conn.rbuf, offset, frame)) {
+        if (!read_some_blocking(fd, conn.rbuf)) {
+          ::close(fd);
+          return;  // died during handshake; never joined
+        }
       }
+    } catch (const TransportError&) {
+      ::close(fd);
+      throw;
     }
     compact(conn.rbuf, offset);
     if (frame.kind != kHello) {

@@ -11,6 +11,10 @@ constexpr std::uint8_t kMagic[4] = {'N', 'W', 'F', 'R'};
 }  // namespace
 
 std::vector<std::uint8_t> encode_frame(const Message& msg) {
+  if (msg.payload.size() > kMaxPayloadBytes) {
+    throw WireError("wire payload of " + std::to_string(msg.payload.size()) +
+                    " bytes exceeds the frame bound");
+  }
   core::SnapshotWriter w;
   for (const std::uint8_t b : kMagic) w.u8(b);
   w.u8(kWireFormatVersion);
@@ -26,7 +30,7 @@ std::vector<std::uint8_t> encode_frame(const Message& msg) {
 }
 
 Message decode_frame(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < sizeof(kMagic) + 3 + 3 * 8 + 8) {
+  if (bytes.size() < kFrameOverheadBytes) {
     throw WireError("wire frame truncated");
   }
   const std::size_t body_size = bytes.size() - 8;

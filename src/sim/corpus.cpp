@@ -52,8 +52,6 @@ CoverageCell cell_of(const ScenarioConfig& config) {
       config.topology == core::InitTopology::kSparseRandom ? 0 : 1;
   cell.placement =
       config.batch_placement == BatchPlacement::kTargeted ? 1 : 0;
-  cell.resolve =
-      static_cast<std::uint8_t>(config.params.resolve_mode);
   cell.merge_policy =
       config.params.merge_policy == core::MergePolicy::kAbsorb ? 1 : 0;
   cell.threshold_mode =
@@ -76,7 +74,6 @@ CoverageCell cell_of(const ScenarioConfig& config) {
 std::uint32_t CoverageSignature::cell_key() const {
   std::uint32_t key = cell.topology;
   key = key * 2 + cell.placement;
-  key = key * 3 + cell.resolve;
   key = key * 2 + cell.merge_policy;
   key = key * 2 + cell.threshold_mode;
   key = key * 2 + cell.walk_mode;
@@ -98,8 +95,6 @@ CoverageCell cell_from_key(std::uint32_t key) {
   key /= 2;
   cell.merge_policy = static_cast<std::uint8_t>(key % 2);
   key /= 2;
-  cell.resolve = static_cast<std::uint8_t>(key % 3);
-  key /= 3;
   cell.placement = static_cast<std::uint8_t>(key % 2);
   key /= 2;
   cell.topology = static_cast<std::uint8_t>(key % 2);
@@ -114,9 +109,6 @@ CoverageSignature signature_of(const ScenarioConfig& config,
   if (result.total_merges > 0) sig.behavior |= kBehaviorMerge;
   if (result.total_compactions > 0) sig.behavior |= kBehaviorCompaction;
   if (result.total_stage2_spills > 0) sig.behavior |= kBehaviorStage2Spill;
-  if (result.total_resolve_replays > 0) {
-    sig.behavior |= kBehaviorResolveReplay;
-  }
   if (result.budget_saturated_steps > 0) {
     sig.behavior |= kBehaviorBudgetSaturated;
   }
@@ -133,8 +125,6 @@ ScenarioConfig mutate_toward_cell(const ScenarioConfig& parent,
   config.batch_placement = target.placement == 1
                                ? BatchPlacement::kTargeted
                                : BatchPlacement::kUniform;
-  config.params.resolve_mode =
-      static_cast<core::ResolveMode>(target.resolve);
   config.params.merge_policy = target.merge_policy == 1
                                    ? core::MergePolicy::kAbsorb
                                    : core::MergePolicy::kDissolve;
@@ -191,8 +181,9 @@ ScenarioConfig random_scenario_config(Rng& rng, const CorpusAxes& axes) {
   config.params.threshold_mode =
       rng.uniform(2) == 0 ? core::ThresholdMode::kStaticN
                           : core::ThresholdMode::kDynamicCurrentN;
-  config.params.resolve_mode =
-      static_cast<core::ResolveMode>(rng.uniform(3));
+  // Retired axis: this draw once picked the resolve strategy. It is still
+  // consumed so every later draw, and so the checked-in corpus, stays put.
+  (void)rng.uniform(3);
   config.topology = rng.uniform(4) == 0
                         ? core::InitTopology::kSparseRandom
                         : core::InitTopology::kModeledSparse;
@@ -295,8 +286,6 @@ std::vector<CorpusCase> generate_corpus(const CorpusAxes& axes,
     if (c.config.params.walk_mode == core::WalkMode::kSimulate) {
       c.config.n0 = std::min<std::size_t>(c.config.n0, 350);
     }
-    c.config.params.resolve_mode =
-        static_cast<core::ResolveMode>(i % 3);
     // Case 0 exercises the legacy v1 writer: backward-compat replay
     // coverage stays a regenerable artifact rather than a frozen binary.
     c.config.trace_format = i == 0 ? 1 : 0;

@@ -6,7 +6,7 @@
 // topology, population, batch size, shard count, the batched adversary's
 // corruption fraction and placement policy, the forced-leave DoS quota,
 // and (since trace v2) the engine's behavior axes: merge policy, threshold
-// mode, walk mode and resolve mode — always within the model's adversary
+// mode and walk mode — always within the model's adversary
 // budget (tau <= 1/3 - eps; corrupted joiners bounded by tau * n). Every
 // generated scenario is run once with trace recording (sim/trace.hpp); a
 // scenario that violates the gated guarantees (a compromised cluster, a
@@ -15,17 +15,16 @@
 // failure kind persists — and the minimal reproducer's trace is recorded
 // in its place.
 //
-// COVERAGE. A run's coverage signature is its configuration cell (the
-// tuple of discrete config axes) crossed with the observed-behavior bits
-// the run actually exercised: did a split fire, a merge fire, a slab
-// compaction trigger, a stage-1 commit spill to stage 2, an optimistic
-// resolve get replayed sequentially, the adversary's corruption budget
+// COVERAGE. A run's coverage signature is its configuration cell (the tuple of
+// discrete config axes) crossed with the observed-behavior bits the run
+// actually exercised: did a split fire, a merge fire, a slab compaction
+// trigger, a stage-1 commit spill to stage 2, the adversary's corruption budget
 // saturate. run_coverage_fleet spends a step budget exploring: instead of
-// re-rolling configs blindly it walks the enumerated config cells that no
-// run has hit yet, mutating a parent config toward each unexplored cell —
-// many short targeted runs instead of a few long random ones, which is
-// why the fleet reaches a multiple of random sampling's distinct cells
-// under the same budget (asserted in tests/sim/corpus_coverage_test.cpp).
+// re-rolling configs blindly it walks the enumerated config cells that no run
+// has hit yet, mutating a parent config toward each unexplored cell — many
+// short targeted runs instead of a few long random ones, which is why the fleet
+// reaches a multiple of random sampling's distinct cells under the same budget
+// (asserted in tests/sim/corpus_coverage_test.cpp).
 //
 // bench/corpus/ holds the checked-in corpus (traces + MANIFEST.tsv); the
 // CI `corpus` job replays every trace there — v1 and v2 — and fails on
@@ -88,7 +87,6 @@ enum class FailureKind : std::uint8_t {
 struct CoverageCell {
   std::uint8_t topology = 0;        // 0 sparse-random, 1 modeled-sparse
   std::uint8_t placement = 0;       // 0 uniform, 1 targeted
-  std::uint8_t resolve = 0;         // 0 auto, 1 sequential, 2 optimistic
   std::uint8_t merge_policy = 0;    // 0 dissolve, 1 absorb
   std::uint8_t threshold_mode = 0;  // 0 static-N, 1 dynamic-current-n
   std::uint8_t walk_mode = 0;       // 0 simulate, 1 sample-exact
@@ -103,8 +101,7 @@ enum CoverageBehavior : std::uint8_t {
   kBehaviorMerge = 1 << 1,
   kBehaviorCompaction = 1 << 2,
   kBehaviorStage2Spill = 1 << 3,
-  kBehaviorResolveReplay = 1 << 4,
-  kBehaviorBudgetSaturated = 1 << 5,
+  kBehaviorBudgetSaturated = 1 << 4,
 };
 
 /// A run's coverage signature: config cell x behavior bits.
@@ -121,8 +118,8 @@ struct CoverageSignature {
                          const CoverageSignature&) = default;
 };
 
-/// Total enumerable config cells: 2 * 2 * 3 * 2 * 2 * 2 * 3.
-inline constexpr std::uint32_t kNumConfigCells = 288;
+/// Total enumerable config cells: 2 * 2 * 2 * 2 * 2 * 3.
+inline constexpr std::uint32_t kNumConfigCells = 96;
 
 /// The config cell a ScenarioConfig falls in (pure function of config).
 [[nodiscard]] CoverageCell cell_of(const ScenarioConfig& config);
@@ -161,9 +158,9 @@ struct CorpusCase {
 };
 
 /// One deterministic randomized scenario drawn from the axes. Randomizes
-/// every coverage axis, including merge policy, threshold mode, walk mode
-/// and resolve mode (kSimulate walks are capped to small populations —
-/// they flood real messages).
+/// every coverage axis, including merge policy, threshold mode and walk
+/// mode (kSimulate walks are capped to small populations — they flood real
+/// messages).
 [[nodiscard]] ScenarioConfig random_scenario_config(Rng& rng,
                                                     const CorpusAxes& axes);
 

@@ -274,7 +274,6 @@ ScenarioResult run_scenario(const ScenarioConfig& config,
         result.total_forced_leaves += outcome.forced;
         result.max_step_forced_leaves =
             std::max(result.max_step_forced_leaves, outcome.forced);
-        result.total_resolve_replays += outcome.report.resolve_replays;
         result.total_stage2_spills += outcome.report.stage2_spills;
         if (outcome.budget_saturated) ++result.budget_saturated_steps;
       } else {
@@ -285,7 +284,6 @@ ScenarioResult run_scenario(const ScenarioConfig& config,
                 .step_parallel(ops, victims,
                                /*byzantine_joiners=*/false, config.shards)
                 .second;
-        result.total_resolve_replays += report.resolve_replays;
         result.total_stage2_spills += report.stage2_spills;
       }
     } else {

@@ -143,8 +143,7 @@ struct ScenarioResult {
   // summary frame (sim/trace.cpp write_summary) — they describe which
   // engine paths a run exercised, not the trajectory itself, and adding
   // them there would break the v1 trace layout.
-  /// Swaps the optimistic resolve handed to the sequential conflict
-  /// replay, summed over the run's sharded batches.
+  /// Always 0 (the resolve is sequential); kept because perfbench reads it.
   std::size_t total_resolve_replays = 0;
   /// Stage-1 slots spilled to the sequential stage-2 commit, summed over
   /// the run's sharded batches.

@@ -296,9 +296,7 @@ TraceReplayResult replay_trace(const std::string& path,
 
   TraceReplayResult replay;
   Metrics metrics;
-  core::NowParams params = header.params;
-  if (opts.override_resolve) params.resolve_mode = opts.resolve_mode;
-  core::NowSystem system{params, metrics, header.seed};
+  core::NowSystem system{header.params, metrics, header.seed};
 
   // Split/merge counts before the seek point (embedded in the restored
   // checkpoint) — the replayed tail only adds to them.

@@ -1,16 +1,11 @@
 // Allocation-regression guard for the sharded batch engine (DESIGN.md §11).
 //
 // The engine's per-batch scratch is epoch-stamped and geometrically grown,
-// so a steady-state batch must do (a) no work proportional to the slab tail
-// or the slot count and (b) no allocation traffic that scales with the
-// deployment size. Both properties are asserted here directly:
-//   * a counting global operator new measures allocations per batch at two
-//     deployment sizes 4x apart — the counts must be about the same (the
-//     residual constant-per-batch traffic: std::function spill in
-//     parallel_for, amortized Metrics sample growth);
-//   * the optimistic commit's footprint array capacity (the old per-batch
-//     `foot.resize(slab.tail(), 0)` sweep) must change only O(log) times
-//     over a long run — geometric growth, never per-batch work.
+// so a steady-state batch must do no allocation traffic that scales with the
+// deployment size. A counting global operator new measures allocations per
+// batch at two deployment sizes 4x apart — the counts must be about the
+// same (the residual constant-per-batch traffic: std::function spill in
+// parallel_for, amortized Metrics sample growth).
 // This file deliberately gets its own test binary (one per *_test.cpp), so
 // the operator new replacement cannot leak into other suites.
 #include <gtest/gtest.h>
@@ -18,7 +13,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
-#include <set>
 #include <vector>
 
 #include "core/now.hpp"
@@ -97,33 +91,6 @@ TEST(BatchAllocTest, SteadyStateAllocationsAreSizeIndependent) {
       << "small=" << small_rate << " large=" << large_rate;
   // Absolute sanity: steady-state traffic is a small constant per batch.
   EXPECT_LT(large_rate, 512.0);
-}
-
-TEST(BatchAllocTest, FootprintArrayGrowsGeometricallyNotPerBatch) {
-  Metrics metrics;
-  // Force the optimistic resolve so the footprint array is actually in
-  // play, whatever the host's core count.
-  NowParams params = alloc_params();
-  params.resolve_mode = ResolveMode::kOptimistic;
-  NowSystem system(params, metrics, 73);
-  system.initialize(8000, 0, InitTopology::kModeledSparse);
-  Rng victim_rng{7};
-
-  // Growth-heavy churn (more joins than leaves) keeps the slab tail
-  // advancing; the footprint capacity must still change only rarely.
-  std::set<std::size_t> capacities;
-  constexpr std::size_t kBatches = 48;
-  for (std::size_t b = 0; b < kBatches; ++b) {
-    const auto leaves = system.state().sample_distinct_nodes(victim_rng, 16);
-    (void)system.step_parallel_mixed(80, 0, leaves, kShards);
-    capacities.insert(system.debug_foot_capacity());
-  }
-  EXPECT_LE(capacities.size(), 8u)
-      << "footprint capacity changed nearly every batch - geometric "
-         "growth regressed to per-batch resizing";
-  // The capacity covers the slab tail (the conflict footprints key on slab
-  // positions), with the doubling headroom on top.
-  EXPECT_GE(system.debug_foot_capacity(), system.state().member_slab().tail());
 }
 
 }  // namespace

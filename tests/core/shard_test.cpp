@@ -8,6 +8,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -223,25 +224,45 @@ TEST(ShardTest, ShardedBatchConservesNodesAndInvariants) {
   }
 }
 
+/// The forced-leave DoS regime's victims for `round`: 10 members of one
+/// cluster (deterministic pick, rotating through the live-cluster list by
+/// round) plus 2 more drawn by a seeded RNG. Identical state => identical
+/// victims.
+std::vector<NodeId> leave_heavy_victims(const NowState& state,
+                                        std::uint64_t seed, int round) {
+  const ClusterId target = state.cluster_ids()
+      [static_cast<std::size_t>(round) % state.cluster_ids().size()];
+  std::vector<NodeId> leaves;
+  for (const NodeId member : state.cluster_at(target).members()) {
+    if (leaves.size() >= 10) break;
+    leaves.push_back(member);
+  }
+  Rng fill{seed ^
+           (std::uint64_t{0xF0F0} + static_cast<std::uint64_t>(round))};
+  while (leaves.size() < 12) {
+    const NodeId candidate = state.random_node(fill);
+    if (std::find(leaves.begin(), leaves.end(), candidate) == leaves.end()) {
+      leaves.push_back(candidate);
+    }
+  }
+  return leaves;
+}
+
 TEST(ShardTest, LeaveHeavyQuotaBatchesPreserveBitIdentity) {
   // The forced-leave DoS regime: most of a batch's leaves are concentrated
   // on one or two clusters (the scenario layer's batch_leave_quota targets
-  // the worst/smallest ones) while joins trickle in — the leave-heavy
-  // mixed batches the optimistic resolve must keep shard-count
-  // independent. Victims are drawn from a single cluster per round, plus a
-  // Byzantine joiner, across shards {1, 4, 8} and three seeds — with the
-  // optimistic resolve FORCED (kOptimistic guarantees a real pool worker,
-  // so the threaded classification/gather paths run even on 1-core boxes).
+  // the worst/smallest ones) while joins trickle in — leave-heavy mixed
+  // batches where many planned swaps hit a departing partner and the
+  // resolve drops them. Victims are drawn from a single cluster per round,
+  // plus a Byzantine joiner, across shards {1, 4, 8} and three seeds.
   for (const std::uint64_t seed : {13ull, 37ull, 59ull}) {
     constexpr std::size_t kShardAxis[] = {1, 4, 8};
-    NowParams p = shard_params();
-    p.resolve_mode = ResolveMode::kOptimistic;
     std::vector<std::unique_ptr<Metrics>> metrics;
     std::vector<std::unique_ptr<NowSystem>> systems;
     for (std::size_t v = 0; v < std::size(kShardAxis); ++v) {
       metrics.push_back(std::make_unique<Metrics>());
       systems.push_back(
-          std::make_unique<NowSystem>(p, *metrics.back(), seed));
+          std::make_unique<NowSystem>(shard_params(), *metrics.back(), seed));
       systems.back()->initialize(1100, 110, InitTopology::kModeledSparse);
     }
 
@@ -249,27 +270,9 @@ TEST(ShardTest, LeaveHeavyQuotaBatchesPreserveBitIdentity) {
       std::vector<std::vector<NodeId>> joined(std::size(kShardAxis));
       std::vector<OpReport> reports(std::size(kShardAxis));
       for (std::size_t v = 0; v < std::size(kShardAxis); ++v) {
-        // Leave-heavy: 4 joins vs 12 leaves, 10 of them members of one
-        // cluster (deterministic pick, rotating through the live-cluster
-        // list by round), the rest spread by a per-variant RNG with
-        // identical streams.
-        const auto& state = systems[v]->state();
-        const ClusterId target = state.cluster_ids()
-            [static_cast<std::size_t>(round) % state.cluster_ids().size()];
-        std::vector<NodeId> leaves;
-        for (const NodeId member : state.cluster_at(target).members()) {
-          if (leaves.size() >= 10) break;
-          leaves.push_back(member);
-        }
-        Rng fill{seed ^
-                 (std::uint64_t{0xF0F0} + static_cast<std::uint64_t>(round))};
-        while (leaves.size() < 12) {
-          const NodeId candidate = state.random_node(fill);
-          if (std::find(leaves.begin(), leaves.end(), candidate) ==
-              leaves.end()) {
-            leaves.push_back(candidate);
-          }
-        }
+        // Leave-heavy: 4 joins vs 12 leaves.
+        const auto leaves =
+            leave_heavy_victims(systems[v]->state(), seed, round);
         std::tie(joined[v], reports[v]) = systems[v]->step_parallel_mixed(
             4, /*byzantine_joins=*/1, leaves, kShardAxis[v]);
       }
@@ -297,56 +300,93 @@ TEST(ShardTest, LeaveHeavyQuotaBatchesPreserveBitIdentity) {
   }
 }
 
-TEST(ShardTest, ResolveStrategiesAreBitIdentical) {
-  // The tentpole guarantee: the optimistic (parallel, multi-pass) resolve
-  // and the canonical sequential resolve commit IDENTICAL states — the
-  // conflict-detection pass re-resolves exactly the swaps whose outcome
-  // could differ from the planned one. Forcing kOptimistic exercises the
-  // parallel engine's code path even on single-core boxes (where kAuto
-  // picks the sequential strategy).
-  constexpr ResolveMode kModes[] = {ResolveMode::kSequential,
-                                    ResolveMode::kOptimistic};
-  std::vector<std::unique_ptr<Metrics>> metrics;
-  std::vector<std::unique_ptr<NowSystem>> systems;
-  std::vector<Rng> victim_rngs;
-  for (const ResolveMode mode : kModes) {
-    NowParams p = shard_params();
-    p.resolve_mode = mode;
-    metrics.push_back(std::make_unique<Metrics>());
-    systems.push_back(
-        std::make_unique<NowSystem>(p, *metrics.back(), 83));
-    systems.back()->initialize(1000, 100, InitTopology::kModeledSparse);
-    victim_rngs.emplace_back(83 ^ 7);
+/// FNV-1a 64 over the partition signature's (id, size) pairs.
+std::uint64_t signature_hash(const NowSystem& system) {
+  std::uint64_t hash = 14695981039346656037ull;
+  const auto mix = [&hash](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xFF;
+      hash *= 1099511628211ull;
+    }
+  };
+  for (const auto& [id, size] : partition_signature(system)) {
+    mix(id);
+    mix(size);
+  }
+  return hash;
+}
+
+/// Run totals pinned by PinnedTrajectoriesDoNotDrift.
+struct PinnedRun {
+  std::uint64_t signature;
+  std::uint64_t conflicts;
+  std::uint64_t messages;
+  std::uint64_t rounds;
+};
+
+TEST(ShardTest, PinnedTrajectoriesDoNotDrift) {
+  // Golden values for conflict-heavy batches at 4 and 8 shards: the final
+  // partition signature plus the conflicts, messages and rounds summed
+  // over the run. They were recorded when a second (optimistic, parallel)
+  // resolve still existed and agreed with the sequential one on every
+  // value here, so any drift of the remaining resolve fails this test.
+  constexpr std::size_t kShardAxis[] = {4, 8};
+  const auto check = [](const NowSystem& system, const PinnedRun& totals,
+                        const PinnedRun& golden, const std::string& context) {
+    EXPECT_EQ(signature_hash(system), golden.signature) << context;
+    EXPECT_EQ(totals.conflicts, golden.conflicts) << context;
+    EXPECT_EQ(totals.messages, golden.messages) << context;
+    EXPECT_EQ(totals.rounds, golden.rounds) << context;
+    EXPECT_TRUE(system.check().ok) << context;
+  };
+  const auto add = [](PinnedRun& totals, const OpReport& report) {
+    totals.conflicts += report.conflicts;
+    totals.messages += report.cost.messages;
+    totals.rounds += report.cost.rounds;
+    EXPECT_EQ(report.resolve_replays, 0u);
+  };
+
+  // The leave-heavy regime of LeaveHeavyQuotaBatchesPreserveBitIdentity.
+  const std::pair<std::uint64_t, PinnedRun> leave_heavy[] = {
+      {13, {0xc1666cbb083f1fa3ull, 373, 3402634222ull, 715}},
+      {37, {0x7add3f0ca54ebca3ull, 341, 3399411744ull, 784}},
+      {59, {0x112528bcea11a159ull, 332, 3402230196ull, 715}},
+  };
+  for (const auto& [seed, golden] : leave_heavy) {
+    for (const std::size_t shards : kShardAxis) {
+      Metrics metrics;
+      NowSystem system{shard_params(), metrics, seed};
+      system.initialize(1100, 110, InitTopology::kModeledSparse);
+      PinnedRun totals{0, 0, 0, 0};
+      for (int round = 0; round < 4; ++round) {
+        const auto leaves = leave_heavy_victims(system.state(), seed, round);
+        add(totals,
+            system.step_parallel_mixed(4, /*byzantine_joins=*/1, leaves,
+                                       shards)
+                .second);
+      }
+      check(system, totals, golden,
+            "leave-heavy seed " + std::to_string(seed) + " shards " +
+                std::to_string(shards));
+    }
   }
 
-  std::size_t total_replays = 0;
-  for (int round = 0; round < 6; ++round) {
-    std::vector<std::vector<NodeId>> joined(std::size(kModes));
-    std::vector<OpReport> reports(std::size(kModes));
-    for (std::size_t v = 0; v < std::size(kModes); ++v) {
-      const auto leaves = pick_victims(*systems[v], 9, victim_rngs[v]);
-      std::tie(joined[v], reports[v]) = systems[v]->step_parallel_mixed(
-          12, /*byzantine_joins=*/2, leaves, 4);
+  // Mixed churn: 12 joins (2 Byzantine) + 9 uniform leaves per batch.
+  const PinnedRun mixed{0x0c7a9d67455af680ull, 459, 4383800421ull, 972};
+  for (const std::size_t shards : kShardAxis) {
+    Metrics metrics;
+    NowSystem system{shard_params(), metrics, 83};
+    system.initialize(1000, 100, InitTopology::kModeledSparse);
+    Rng victims{83 ^ 7};
+    PinnedRun totals{0, 0, 0, 0};
+    for (int round = 0; round < 6; ++round) {
+      const auto leaves = pick_victims(system, 9, victims);
+      add(totals,
+          system.step_parallel_mixed(12, /*byzantine_joins=*/2, leaves, shards)
+              .second);
     }
-    ASSERT_EQ(joined[0], joined[1]) << "round " << round;
-    EXPECT_EQ(reports[0].conflicts, reports[1].conflicts);
-    EXPECT_EQ(reports[0].wave_count, reports[1].wave_count);
-    EXPECT_EQ(reports[0].cost.messages, reports[1].cost.messages);
-    EXPECT_EQ(reports[0].cost.rounds, reports[1].cost.rounds);
-    // The sequential strategy never classifies, so replays stay 0 there;
-    // the optimistic strategy reports what the conflict pass re-resolved.
-    EXPECT_EQ(reports[0].resolve_replays, 0u);
-    total_replays += reports[1].resolve_replays;
+    check(system, totals, mixed, "mixed shards " + std::to_string(shards));
   }
-  EXPECT_EQ(partition_signature(*systems[0]),
-            partition_signature(*systems[1]));
-  for (const NodeId node : systems[0]->state().live_nodes()) {
-    ASSERT_EQ(systems[0]->state().home_of(node),
-              systems[1]->state().home_of(node));
-  }
-  EXPECT_TRUE(systems[0]->check().ok);
-  EXPECT_TRUE(systems[1]->check().ok);
-  (void)total_replays;  // may legitimately be 0 on conflict-free seeds
 }
 
 TEST(ShardTest, IncrementalPlanCacheMatchesFullRebuild) {

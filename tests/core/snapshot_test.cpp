@@ -1,11 +1,11 @@
-// Tests for the snapshot subsystem (core/snapshot.hpp, DESIGN.md §8): a
-// mid-run checkpoint restored into a fresh NowSystem and continued must be
+// Tests for the snapshot subsystem (core/snapshot.hpp, DESIGN.md §8): a mid-run
+// checkpoint restored into a fresh NowSystem and continued must be
 // BIT-IDENTICAL to the uninterrupted run — partitions, node homes, the
-// Byzantine ground truth, the system RNG's continued stream and the
-// invariant samples — across shard counts {1, 4, 8} and all three
-// ResolveModes; and malformed files (wrong magic, unknown version,
-// truncation, corruption, parameter drift, a membership that does not
-// place every live node exactly once) must be rejected, never misparsed.
+// Byzantine ground truth, the system RNG's continued stream and the invariant
+// samples — across shard counts {1, 4, 8}; and malformed files (wrong magic,
+// unknown version, truncation, corruption, parameter drift, a membership that
+// does not place every live node exactly once) must be rejected, never
+// misparsed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,13 +23,12 @@
 namespace now::core {
 namespace {
 
-NowParams snapshot_params(ResolveMode mode) {
+NowParams snapshot_params() {
   NowParams p;
   p.max_size = 1 << 12;
   p.walk_mode = WalkMode::kSampleExact;
   p.k = 10;
   p.tau = 0.10;
-  p.resolve_mode = mode;
   return p;
 }
 
@@ -80,82 +79,76 @@ void expect_identical(const NowSystem& a, const NowSystem& b,
   }
 }
 
-TEST(SnapshotTest, RestoreThenContinueIsBitIdenticalAcrossModes) {
-  // The tentpole guarantee, over the full matrix: 3 seeds x shards
-  // {1, 4, 8} x {kAuto, kOptimistic, kSequential}. Run A uninterrupted for
-  // T1 + T2 batches; run B for T1 batches, save, keep going (saving must
-  // not perturb the saving system); restore into a fresh C and continue
-  // both for T2 batches. A, B and C must agree on everything observable —
-  // including the system RNG's continued state and the invariant report.
+TEST(SnapshotTest, RestoreThenContinueIsBitIdenticalAcrossShards) {
+  // The tentpole guarantee, over the full matrix: 3 seeds x shards {1, 4, 8}.
+  // Run A uninterrupted for T1 + T2 batches; run B for T1 batches, save, keep
+  // going (saving must not perturb the saving system); restore into a fresh C
+  // and continue both for T2 batches. A, B and C must agree on everything
+  // observable — including the system RNG's continued state and the invariant
+  // report.
   constexpr std::size_t kShardAxis[] = {1, 4, 8};
-  constexpr ResolveMode kModes[] = {ResolveMode::kAuto,
-                                    ResolveMode::kOptimistic,
-                                    ResolveMode::kSequential};
   constexpr int kT1 = 3;
   constexpr int kT2 = 3;
   for (const std::uint64_t seed : {5ull, 21ull, 77ull}) {
     for (const std::size_t shards : kShardAxis) {
-      for (const ResolveMode mode : kModes) {
-        const std::string context =
-            "seed " + std::to_string(seed) + " shards " +
-            std::to_string(shards) + " mode " +
-            std::to_string(static_cast<int>(mode));
-        const std::string path = temp_path("now_roundtrip.snap");
-        const NowParams params = snapshot_params(mode);
+      const std::string context =
+          "seed " + std::to_string(seed) + " shards " +
+          std::to_string(shards);
+      const std::string path = temp_path("now_roundtrip.snap");
+      const NowParams params = snapshot_params();
 
-        Metrics metrics_a;
-        NowSystem a{params, metrics_a, seed};
-        a.initialize(900, 90, InitTopology::kModeledSparse);
-        Rng victims_a{seed ^ 0xBEEF};
-        for (int t = 0; t < kT1; ++t) drive_batch(a, victims_a, shards);
+      Metrics metrics_a;
+      NowSystem a{params, metrics_a, seed};
+      a.initialize(900, 90, InitTopology::kModeledSparse);
+      Rng victims_a{seed ^ 0xBEEF};
+      for (int t = 0; t < kT1; ++t) drive_batch(a, victims_a, shards);
 
-        Metrics metrics_b;
-        NowSystem b{params, metrics_b, seed};
-        b.initialize(900, 90, InitTopology::kModeledSparse);
-        Rng victims_b{seed ^ 0xBEEF};
-        for (int t = 0; t < kT1; ++t) drive_batch(b, victims_b, shards);
-        b.save(path);
-        const auto victim_state = victims_b.state();
+      Metrics metrics_b;
+      NowSystem b{params, metrics_b, seed};
+      b.initialize(900, 90, InitTopology::kModeledSparse);
+      Rng victims_b{seed ^ 0xBEEF};
+      for (int t = 0; t < kT1; ++t) drive_batch(b, victims_b, shards);
+      b.save(path);
+      const auto victim_state = victims_b.state();
 
-        Metrics metrics_c;
-        NowSystem c{params, metrics_c, seed};
-        c.load(path);
-        Rng victims_c{0};
-        victims_c.restore_state(victim_state);
-        expect_identical(a, c, context + " at the checkpoint");
+      Metrics metrics_c;
+      NowSystem c{params, metrics_c, seed};
+      c.load(path);
+      Rng victims_c{0};
+      victims_c.restore_state(victim_state);
+      expect_identical(a, c, context + " at the checkpoint");
 
-        for (int t = 0; t < kT2; ++t) {
-          const auto [ja, ra] = drive_batch(a, victims_a, shards);
-          const auto [jb, rb] = drive_batch(b, victims_b, shards);
-          const auto [jc, rc] = drive_batch(c, victims_c, shards);
-          ASSERT_EQ(ja, jc) << context << " continued batch " << t;
-          ASSERT_EQ(jb, jc) << context << " continued batch " << t;
-          EXPECT_EQ(ra.wave_count, rc.wave_count) << context;
-          EXPECT_EQ(ra.conflicts, rc.conflicts) << context;
-          EXPECT_EQ(ra.cost.messages, rc.cost.messages) << context;
-          EXPECT_EQ(ra.cost.rounds, rc.cost.rounds) << context;
-          EXPECT_EQ(ra.splits, rc.splits) << context;
-          EXPECT_EQ(ra.merges, rc.merges) << context;
-        }
-        expect_identical(a, c, context + " after continuation");
-        expect_identical(b, c, context + " saver vs restorer");
-        // RNG-stream continuation: the restored generator sits in the
-        // exact same state as the uninterrupted one.
-        EXPECT_EQ(a.rng().state(), c.rng().state()) << context;
-        // Invariant samples drawn now are identical field by field.
-        const auto inv_a = a.check();
-        const auto inv_c = c.check();
-        EXPECT_EQ(inv_a.ok, inv_c.ok);
-        EXPECT_EQ(inv_a.num_nodes, inv_c.num_nodes);
-        EXPECT_EQ(inv_a.num_clusters, inv_c.num_clusters);
-        EXPECT_EQ(inv_a.min_cluster_size, inv_c.min_cluster_size);
-        EXPECT_EQ(inv_a.max_cluster_size, inv_c.max_cluster_size);
-        EXPECT_EQ(inv_a.worst_byz_fraction, inv_c.worst_byz_fraction);
-        EXPECT_EQ(inv_a.compromised_clusters, inv_c.compromised_clusters);
-        EXPECT_EQ(inv_a.overlay_max_degree, inv_c.overlay_max_degree);
-        EXPECT_EQ(inv_a.overlay_connected, inv_c.overlay_connected);
-        std::remove(path.c_str());
+      for (int t = 0; t < kT2; ++t) {
+        const auto [ja, ra] = drive_batch(a, victims_a, shards);
+        const auto [jb, rb] = drive_batch(b, victims_b, shards);
+        const auto [jc, rc] = drive_batch(c, victims_c, shards);
+        ASSERT_EQ(ja, jc) << context << " continued batch " << t;
+        ASSERT_EQ(jb, jc) << context << " continued batch " << t;
+        EXPECT_EQ(ra.wave_count, rc.wave_count) << context;
+        EXPECT_EQ(ra.conflicts, rc.conflicts) << context;
+        EXPECT_EQ(ra.cost.messages, rc.cost.messages) << context;
+        EXPECT_EQ(ra.cost.rounds, rc.cost.rounds) << context;
+        EXPECT_EQ(ra.splits, rc.splits) << context;
+        EXPECT_EQ(ra.merges, rc.merges) << context;
       }
+      expect_identical(a, c, context + " after continuation");
+      expect_identical(b, c, context + " saver vs restorer");
+      // RNG-stream continuation: the restored generator sits in the
+      // exact same state as the uninterrupted one.
+      EXPECT_EQ(a.rng().state(), c.rng().state()) << context;
+      // Invariant samples drawn now are identical field by field.
+      const auto inv_a = a.check();
+      const auto inv_c = c.check();
+      EXPECT_EQ(inv_a.ok, inv_c.ok);
+      EXPECT_EQ(inv_a.num_nodes, inv_c.num_nodes);
+      EXPECT_EQ(inv_a.num_clusters, inv_c.num_clusters);
+      EXPECT_EQ(inv_a.min_cluster_size, inv_c.min_cluster_size);
+      EXPECT_EQ(inv_a.max_cluster_size, inv_c.max_cluster_size);
+      EXPECT_EQ(inv_a.worst_byz_fraction, inv_c.worst_byz_fraction);
+      EXPECT_EQ(inv_a.compromised_clusters, inv_c.compromised_clusters);
+      EXPECT_EQ(inv_a.overlay_max_degree, inv_c.overlay_max_degree);
+      EXPECT_EQ(inv_a.overlay_connected, inv_c.overlay_connected);
+      std::remove(path.c_str());
     }
   }
 }
@@ -163,7 +156,7 @@ TEST(SnapshotTest, RestoreThenContinueIsBitIdenticalAcrossModes) {
 TEST(SnapshotTest, LegacySequentialOpsContinueIdenticallyToo) {
   // The sequential engine draws from the system RNG directly, so this is
   // the path that exercises the saved rng state hardest.
-  const NowParams params = snapshot_params(ResolveMode::kAuto);
+  const NowParams params = snapshot_params();
   const std::string path = temp_path("now_legacy.snap");
   Metrics ma;
   Metrics mb;
@@ -238,7 +231,7 @@ TEST(SnapshotTest, DirtySamplerOverlaySurvivesTheRoundTrip) {
 }
 
 TEST(SnapshotTest, RejectsWrongMagicVersionTruncationAndCorruption) {
-  const NowParams params = snapshot_params(ResolveMode::kAuto);
+  const NowParams params = snapshot_params();
   const std::string path = temp_path("now_reject.snap");
   Metrics metrics;
   NowSystem system{params, metrics, 9};
@@ -291,14 +284,6 @@ TEST(SnapshotTest, RejectsWrongMagicVersionTruncationAndCorruption) {
   NowSystem other{drifted, m2, 9};
   EXPECT_THROW(other.load(path), SnapshotError);
 
-  // resolve_mode is NOT behavior-relevant: loading under another mode is
-  // allowed (the strategies are bit-identical).
-  NowParams other_mode = params;
-  other_mode.resolve_mode = ResolveMode::kSequential;
-  Metrics m3;
-  NowSystem fine{other_mode, m3, 9};
-  EXPECT_NO_THROW(fine.load(path));
-
   // A system that already ran must refuse to load over itself.
   EXPECT_THROW(system.load(path), SnapshotError);
   std::remove(path.c_str());
@@ -310,7 +295,7 @@ TEST(SnapshotTest, RejectsWrongMagicVersionTruncationAndCorruption) {
 /// returns the SnapshotError message ("" when the load succeeded).
 template <typename Forge>
 std::string load_error_after_forging(const std::string& name, Forge forge) {
-  const NowParams params = snapshot_params(ResolveMode::kAuto);
+  const NowParams params = snapshot_params();
   const std::string path = temp_path(name);
   Metrics ma;
   NowSystem a{params, ma, 13};

@@ -2,16 +2,23 @@
 // InProcTransport barrier behavior, FaultyTransport determinism, and —
 // via fork()ed worker processes over real local TCP — bit-identity of the
 // multi-process sharded runtime against the single-process reference,
-// including crash-and-restore recovery from checkpoints.
+// including crash-and-restore recovery from checkpoints, plus the hub's
+// rejection of an oversized socket frame length.
 #include "net/transport.hpp"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -102,6 +109,14 @@ TEST(WireCodecTest, RejectsUnknownTagEvenWithValidChecksum) {
   frame[6] = static_cast<std::uint8_t>(bad_tag >> 8);
   patch_checksum(frame);
   EXPECT_THROW((void)decode_frame(frame), WireError);
+}
+
+TEST(WireCodecTest, RefusesToEncodeAPayloadAboveTheBound) {
+  Message msg = sample_message();
+  msg.payload.assign(kMaxPayloadBytes, 0xAB);
+  EXPECT_EQ(encode_frame(msg).size(), kMaxFrameBytes);
+  msg.payload.push_back(0xAB);
+  EXPECT_THROW((void)encode_frame(msg), WireError);
 }
 
 TEST(WireCodecTest, RejectsBadMagicEvenWithValidChecksum) {
@@ -384,6 +399,52 @@ TEST(SocketParityTest, CrashedWorkerRestoresFromCheckpointAndReproduces) {
   EXPECT_EQ(result.step_digests, ref.step_digests);
   EXPECT_EQ(result.steps_completed, ref.steps_completed);
   fs::remove_all(spec.checkpoint_dir);
+}
+
+/// Raw TCP connection to 127.0.0.1:`port` (no handshake); -1 on failure.
+int connect_raw(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) <
+      0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+TEST(SocketHubTest, OversizedFrameLengthThrowsInsteadOfBlocking) {
+  auto hub = SocketHub::listen(1);
+  std::atomic<bool> hub_returned{false};
+  std::thread client([&hub_returned, port = hub->port()] {
+    // A HELLO whose length prefix claims ~4 GiB; the body never follows,
+    // and the connection stays open the way a hung peer's would.
+    const int bad = connect_raw(port);
+    const std::uint8_t hello[] = {0xF0, 0xFF, 0xFF, 0xFF, /*HELLO*/ 1};
+    if (bad >= 0) (void)::send(bad, hello, sizeof hello, MSG_NOSIGNAL);
+    for (int i = 0; i < 100 && !hub_returned; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    if (bad >= 0) ::close(bad);
+    if (hub_returned) return;
+    // The hub is still waiting for the body: release it with a
+    // well-formed HELLO (length 9, kind 1, process id 0), so a
+    // regression fails the expectation below instead of hanging.
+    const int good = connect_raw(port);
+    const std::uint8_t ok[] = {9, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0};
+    if (good >= 0) (void)::send(good, ok, sizeof ok, MSG_NOSIGNAL);
+    while (!hub_returned) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    if (good >= 0) ::close(good);
+  });
+  EXPECT_THROW(hub->accept_initial(), TransportError);
+  hub_returned = true;
+  client.join();
 }
 
 }  // namespace

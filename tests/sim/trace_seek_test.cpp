@@ -1,8 +1,7 @@
 // Trace format v2 (DESIGN.md §10): embedded checkpoints + footer index +
 // seekable replay. Covers the footer round trip, seek-restore-continue
-// bit-identity against the full replay (across shard counts and every
-// ResolveMode), v1 backward compatibility (reader AND writer), and the
-// malformed-footer rejection paths.
+// bit-identity against the full replay (across shard counts), v1 backward
+// compatibility (reader AND writer), and the malformed-footer rejection paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -185,7 +184,7 @@ TEST(TraceSeekTest, SeekRestoreContinueMatchesFullReplay) {
   std::remove(path.c_str());
 }
 
-TEST(TraceSeekTest, SeekIsBitIdenticalAcrossShardsAndResolveModes) {
+TEST(TraceSeekTest, SeekIsBitIdenticalAcrossShards) {
   const std::string path = temp_path("seek_equiv.trace");
   ScenarioConfig config = batched_config(109);
   config.trace_checkpoint_every = 10;
@@ -195,27 +194,17 @@ TEST(TraceSeekTest, SeekIsBitIdenticalAcrossShardsAndResolveModes) {
   ASSERT_TRUE(full.ok) << full.error;
 
   const std::size_t shard_axis[] = {1, 4, 8};
-  const core::ResolveMode resolve_axis[] = {core::ResolveMode::kAuto,
-                                            core::ResolveMode::kSequential,
-                                            core::ResolveMode::kOptimistic};
   for (const std::size_t shards : shard_axis) {
-    for (const core::ResolveMode resolve : resolve_axis) {
-      ReplayOptions opts;
-      opts.start_checkpoint = 1;  // mid-trace restore
-      opts.shards_override = shards;
-      opts.override_resolve = true;
-      opts.resolve_mode = resolve;
-      const TraceReplayResult seek = replay_trace(path, opts);
-      ASSERT_TRUE(seek.ok)
-          << "shards=" << shards << " resolve="
-          << static_cast<int>(resolve) << ": " << seek.error;
-      // Replay compares every sample and later checkpoint bit-exactly, so
-      // ok already proves equivalence; the finals double-check it.
-      EXPECT_EQ(seek.result.final_nodes, full.result.final_nodes);
-      EXPECT_EQ(seek.result.final_byzantine, full.result.final_byzantine);
-      EXPECT_EQ(seek.result.peak_byz_fraction,
-                full.result.peak_byz_fraction);
-    }
+    ReplayOptions opts;
+    opts.start_checkpoint = 1;  // mid-trace restore
+    opts.shards_override = shards;
+    const TraceReplayResult seek = replay_trace(path, opts);
+    ASSERT_TRUE(seek.ok) << "shards=" << shards << ": " << seek.error;
+    // Replay compares every sample and later checkpoint bit-exactly, so
+    // ok already proves equivalence; the finals double-check it.
+    EXPECT_EQ(seek.result.final_nodes, full.result.final_nodes);
+    EXPECT_EQ(seek.result.final_byzantine, full.result.final_byzantine);
+    EXPECT_EQ(seek.result.peak_byz_fraction, full.result.peak_byz_fraction);
   }
   std::remove(path.c_str());
 }
