@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <stdexcept>
 #include <vector>
 
 #include "common/types.hpp"
@@ -159,69 +158,6 @@ class MemberSlab {
     std::copy(members.begin(), members.end(),
               pool_.begin() + static_cast<std::ptrdiff_t>(e.first));
     set_size(e, members.size());
-    return true;
-  }
-
-  /// In-place merge of sorted edits for the stage-1 workers: drops
-  /// `removals` and splices in `additions` directly inside the slot's
-  /// extent, no scratch copy — a forward compaction pass for the removals
-  /// (write index trails the read index) followed by a backward merge for
-  /// the additions (write index leads the read index), producing exactly
-  /// merge_sorted_edits' output. Same concurrency contract as try_assign
-  /// (in-place only, disjoint slots, relaxed counter adjust); returns false
-  /// untouched when the merged size outgrows the cap, and throws the same
-  /// std::invalid_argument as merge_sorted_edits on a stale removal list
-  /// BEFORE mutating anything.
-  [[nodiscard]] bool try_apply_edits(std::size_t slot,
-                                     std::span<const NodeId> removals,
-                                     std::span<const NodeId> additions) {
-    Extent& e = extents_[slot];
-    if (removals.size() > e.size) {
-      throw std::invalid_argument(
-          "merge_sorted_edits: more removals than members");
-    }
-    const std::size_t merged =
-        e.size - removals.size() + additions.size();
-    if (merged > e.cap) return false;
-    NodeId* const base = pool_.data() + e.first;
-    // Validate before the first write: members are unique and sorted, so a
-    // sorted removal multiset is consumable iff every entry is present and
-    // no two entries repeat (removals are tiny — a binary search each).
-    for (std::size_t i = 0; i < removals.size(); ++i) {
-      if ((i > 0 && removals[i] == removals[i - 1]) ||
-          !std::binary_search(base, base + e.size, removals[i])) {
-        throw std::invalid_argument(
-            "merge_sorted_edits: removal of a non-member");
-      }
-    }
-    // Forward compaction: shift the survivors left over the removals.
-    std::size_t kept = e.size;
-    if (!removals.empty()) {
-      NodeId* write = std::lower_bound(base, base + e.size, removals.front());
-      std::size_t rem = 0;
-      for (NodeId* read = write; read != base + e.size; ++read) {
-        if (rem < removals.size() && *read == removals[rem]) {
-          ++rem;
-          continue;
-        }
-        *write++ = *read;
-      }
-      kept = static_cast<std::size_t>(write - base);
-    }
-    // Backward merge of the additions: write >= read throughout (the run
-    // only grows), and a tie takes the addition first so it lands AFTER the
-    // equal member — the mirror of merge_sorted_edits' `*addition < m`.
-    std::size_t write = merged;
-    std::size_t read = kept;
-    std::size_t add = additions.size();
-    while (add > 0) {
-      if (read > 0 && additions[add - 1] < base[read - 1]) {
-        base[--write] = base[--read];
-      } else {
-        base[--write] = additions[--add];
-      }
-    }
-    set_size(e, merged);
     return true;
   }
 

@@ -12,9 +12,11 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace now {
@@ -44,7 +46,10 @@ class ThreadPool {
   [[nodiscard]] std::size_t worker_count() const { return workers_.size(); }
 
   /// Runs fn(0..tasks-1), the caller acting as one more worker; returns when
-  /// all tasks completed. Not reentrant: one parallel_for at a time.
+  /// all tasks completed. Not reentrant: one parallel_for at a time. A task
+  /// that throws does not strand the pool: once every task has finished,
+  /// the first exception caught is rethrown to the caller (an inline run
+  /// propagates it at once).
   void parallel_for(std::size_t tasks,
                     const std::function<void(std::size_t)>& fn) {
     if (tasks == 0) return;
@@ -65,6 +70,7 @@ class ThreadPool {
     std::unique_lock<std::mutex> lock(mutex_);
     done_.wait(lock, [this] { return pending_ == 0; });
     fn_ = nullptr;
+    if (error_ != nullptr) std::rethrow_exception(std::exchange(error_, {}));
   }
 
  private:
@@ -79,9 +85,15 @@ class ThreadPool {
         if (next_task_ >= task_limit_) return;
         index = next_task_++;
       }
-      (*fn_)(index);
+      std::exception_ptr error;
+      try {
+        (*fn_)(index);
+      } catch (...) {
+        error = std::current_exception();
+      }
       {
         const std::lock_guard<std::mutex> lock(mutex_);
+        if (error != nullptr && error_ == nullptr) error_ = error;
         --pending_;
         if (pending_ == 0) done_.notify_all();
       }
@@ -111,6 +123,7 @@ class ThreadPool {
   std::size_t task_limit_ = 0;
   std::size_t pending_ = 0;
   std::uint64_t generation_ = 0;
+  std::exception_ptr error_;  // first task exception of this parallel_for
   bool stop_ = false;
 };
 

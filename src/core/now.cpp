@@ -55,10 +55,11 @@ over::OverParams make_over_params(const NowParams& p) {
 // + cost accounting against the frozen start-of-step state; runs
 // concurrently, one shard per thread, each operation and each exchange wave
 // on its own derived RNG stream) and a COMMIT phase (a sequential resolve
-// decides every membership move in canonical order, stage 1 applies the
-// per-cluster edits shard-parallel, stage 2 merges size deltas and runs the
-// deferred splits/merges sequentially). Plans never
-// touch NowState non-const — everything they decide is recorded here.
+// decides every membership move in canonical order into node_home, stage 1
+// rebuilds each touched cluster from node_home shard-parallel, stage 2
+// merges size deltas and runs the deferred splits/merges sequentially).
+// Plans never touch NowState non-const — everything they decide is
+// recorded here.
 // The snapshot aggregates live in the persistent, incrementally maintained
 // PlanCache (core/plan_cache.hpp).
 
@@ -113,7 +114,7 @@ constexpr std::size_t kNoWave = static_cast<std::size_t>(-1);
 /// through a unique_ptr; the header only forward-declares it). Everything
 /// here is either a cache whose content survives batches (PlanCache, the
 /// per-cluster wave caches) or scratch whose *capacity* survives (per-slot
-/// edit buffers, per-shard workspaces) so steady-state
+/// arrival lists, per-shard workspaces) so steady-state
 /// batches run allocation-free. Per-slot scratch is epoch-stamped
 /// (DESIGN.md §11): `slot_epoch` bumps once per batch, every write stamps
 /// it, and a read whose stamp is stale sees "untouched" — no per-batch
@@ -162,11 +163,16 @@ struct BatchScratch {
   /// cluster's slot is as unique as its id within a batch).
   std::vector<std::uint64_t> candidate_epoch_of_slot;
 
-  // Commit-engine scratch: the per-cluster-slot edit buffers (the resolve
-  // appends, the stage-1 worker that owns the slot empties them) and the
-  // per-shard stage-1 workspaces (merge buffers + signed size-delta
-  // arrays).
-  std::vector<std::vector<NowState::MemberEdit>> edit_scratch;
+  // Commit-engine scratch. The resolve records, per touched cluster slot,
+  // only the nodes that ARRIVED there (any order, repeats allowed) and the
+  // slot's signed net size change; where each node ends up is node_home's
+  // job. Both are valid only while `touch_epoch_of_slot[slot] ==
+  // slot_epoch` (the first touch of a batch resets them), so a slot that
+  // only loses members is touched too. Stage 1 rebuilds each touched slot
+  // from node_home with per-shard workspaces and signed size-delta arrays.
+  std::vector<std::vector<NodeId>> arrivals_by_slot;
+  std::vector<std::int64_t> net_of_slot;
+  std::vector<std::uint64_t> touch_epoch_of_slot;
   std::vector<NowState::EditScratch> edit_workspaces;
   std::vector<std::vector<std::pair<std::size_t, std::int64_t>>>
       delta_scratch;
@@ -192,7 +198,9 @@ struct BatchScratch {
     wave_epoch_of_slot.resize(grown, 0);
     candidate_epoch_of_slot.resize(grown, 0);
     wave_cache.resize(grown);
-    edit_scratch.resize(grown);
+    arrivals_by_slot.resize(grown);
+    net_of_slot.resize(grown, 0);
+    touch_epoch_of_slot.resize(grown, 0);
   }
 
   /// This batch's leavers homed at `slot` (empty when the slot was not
@@ -233,12 +241,13 @@ struct BatchScratch {
     bytes += vec_bytes(leaver_epoch_of_slot) +
              vec_bytes(wave_of_slot) + vec_bytes(wave_epoch_of_slot) +
              vec_bytes(candidate_epoch_of_slot);
-    bytes += vec_bytes(edit_scratch);
-    for (const auto& e : edit_scratch) bytes += vec_bytes(e);
+    bytes += vec_bytes(arrivals_by_slot);
+    for (const auto& a : arrivals_by_slot) bytes += vec_bytes(a);
+    bytes += vec_bytes(net_of_slot) + vec_bytes(touch_epoch_of_slot);
     bytes += vec_bytes(edit_workspaces);
     for (const NowState::EditScratch& w : edit_workspaces) {
-      bytes += vec_bytes(w.adds) + vec_bytes(w.removes) +
-               vec_bytes(w.merge) + vec_bytes(w.spills);
+      bytes += vec_bytes(w.arrivals) + vec_bytes(w.merge) +
+               vec_bytes(w.spills);
       for (const auto& [slot, members] : w.spills) {
         (void)slot;
         bytes += vec_bytes(members);
@@ -915,21 +924,29 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
     OpScope commit(metrics_, "batch.commit");
 
     // Resolve, part 1 (sequential, O(ops)): the batch's operations, in
-    // canonical order — join adds + home writes, leave removes + ground
-    // truth erasure — into per-cluster-slot edit lists. node_home is
-    // written directly as moves resolve, so it doubles as the within-batch
-    // home map for the swap resolve below. Also collects the
-    // restructuring candidates in first-touch order (swaps are
-    // size-neutral, so only op targets can cross a threshold).
+    // canonical order — join home writes, leave home clears + ground truth
+    // erasure. node_home is written directly as moves resolve, so it
+    // doubles as the within-batch home map for the swap resolve below and,
+    // once the resolve ends, holds every node's final home: stage 1 needs
+    // only each touched slot's arrivals and net count besides. Also
+    // collects the restructuring candidates in first-touch order (swaps
+    // are size-neutral, so only op targets can cross a threshold).
     obs::ScopedSpan resolve_span(obs::Cat::kStep, "step.resolve",
                                  &combined.resolve_ns, batch_id);
     std::vector<std::size_t>& touched_slots = bs.touched_slots;
     std::vector<ClusterId>& candidates = bs.candidates;
     touched_slots.clear();
     candidates.clear();  // resized clusters, first touch
-    const auto record = [&](std::size_t slot, NodeId n, bool add) {
-      if (bs.edit_scratch[slot].empty()) touched_slots.push_back(slot);
-      bs.edit_scratch[slot].push_back(NowState::MemberEdit{n, add});
+    const auto touch = [&](std::size_t slot) {
+      if (bs.touch_epoch_of_slot[slot] == bs.slot_epoch) return;
+      bs.touch_epoch_of_slot[slot] = bs.slot_epoch;
+      bs.arrivals_by_slot[slot].clear();
+      bs.net_of_slot[slot] = 0;
+      touched_slots.push_back(slot);
+    };
+    const auto arrive = [&](std::size_t slot, NodeId n) {
+      touch(slot);
+      bs.arrivals_by_slot[slot].push_back(n);
     };
     for (std::size_t i = 0; i < total_ops; ++i) {
       if (i + 1 < total_ops) state_.prefetch_home(bs.op_node[i + 1]);
@@ -943,10 +960,12 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
         candidates.push_back(bs.op_target[i]);
       }
       if (bs.op_is_join[i] != 0) {
-        record(slot, bs.op_node[i], /*add=*/true);
+        arrive(slot, bs.op_node[i]);
+        ++bs.net_of_slot[slot];
         state_.commit_home(bs.op_node[i], bs.op_target[i]);
       } else {
-        record(slot, bs.op_node[i], /*add=*/false);
+        touch(slot);
+        --bs.net_of_slot[slot];
         state_.byzantine.erase(bs.op_node[i]);
         state_.unregister_node(bs.op_node[i]);
         state_.clear_home(bs.op_node[i]);
@@ -959,7 +978,9 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
     // may have left. A swap is dropped (a conflict) only when an endpoint
     // left or both now share a cluster; otherwise x and y trade their
     // current homes. The committed state is therefore a pure function of
-    // the canonical plan, independent of the shard count.
+    // the canonical plan, independent of the shard count. A swap adds one
+    // node and removes one at each end, so it records the two arrivals and
+    // leaves both net counts as they are.
     const auto cluster_of_slot = [&cache](std::uint32_t slot) {
       return cache.id_by_index[cache.index_by_slot[slot]];
     };
@@ -983,10 +1004,8 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
             x_slot = state_.slot_index(x_home);
             y_slot = state_.slot_index(y_home);
           }
-          record(x_slot, swap.x, /*add=*/false);
-          record(y_slot, swap.x, /*add=*/true);
-          record(y_slot, swap.y, /*add=*/false);
-          record(x_slot, swap.y, /*add=*/true);
+          arrive(y_slot, swap.x);
+          arrive(x_slot, swap.y);
           state_.commit_home(swap.x, y_home);
           state_.commit_home(swap.y, x_home);
         }
@@ -998,7 +1017,8 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
                                 &combined.stage1_ns, batch_id);
 
     // Stage 1 (parallel): slots are partitioned into CONTIGUOUS blocks
-    // (one per shard); each worker applies its block's member edits.
+    // (one per shard); each worker rebuilds its block's touched clusters
+    // from node_home, which nothing writes until the next batch's resolve.
     // Cluster size changes are accumulated per shard, not written to the
     // Fenwick mirror. Block (not mod-K) ownership keeps each worker's
     // stores in disjoint cache-line ranges of the slot table.
@@ -1011,10 +1031,10 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
     pool.parallel_for(shards, [&](std::size_t s) {
       for (const std::size_t slot : touched_slots) {
         if (slot / slot_block != s) continue;
-        const std::int64_t delta = state_.apply_member_edits(
-            slot, bs.edit_scratch[slot], bs.edit_workspaces[s]);
-        if (delta != 0) bs.delta_scratch[s].emplace_back(slot, delta);
-        bs.edit_scratch[slot].clear();
+        const std::int64_t net = bs.net_of_slot[slot];
+        state_.rebuild_members(slot, bs.arrivals_by_slot[slot], net,
+                               bs.edit_workspaces[s]);
+        if (net != 0) bs.delta_scratch[s].emplace_back(slot, net);
       }
     });
     stage1_span.stop();
@@ -1023,7 +1043,7 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
 
     // Stage 2 (sequential), part 0: re-home the slots whose merged
     // membership outgrew their slab extent. The spill set is
-    // shard-independent (canonical per-slot edits against deterministic
+    // shard-independent (canonical rebuilt sizes against deterministic
     // extent caps), so committing in ascending slot order makes the tail
     // allocation sequence — and the slab layout — canonical. Must precede
     // apply_size_deltas, whose debug contract checks final extent sizes.
@@ -1108,8 +1128,20 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
   commit_span.stop();
 
   // No per-batch scratch reset: the slot arrays (wave_of_slot,
-  // leavers_by_slot, candidate marks) are epoch-stamped, so the next
-  // batch's ++slot_epoch makes this batch's content invisible for free.
+  // leavers_by_slot, candidate marks, arrival lists and net counts) are
+  // epoch-stamped, so the next batch's ++slot_epoch makes this batch's
+  // content invisible for free.
+
+#if NOW_OBS_ENABLED
+  // Engine work counters, once per batch: the same totals the OpReport
+  // fields carry, summed over the process's batches.
+  static const obs::MetricId conflicts_id = obs::counter_id("step.conflicts");
+  static const obs::MetricId spills_id = obs::counter_id("step.stage2_spills");
+  static const obs::MetricId waves_id = obs::counter_id("step.waves");
+  obs::counter_add(conflicts_id, combined.conflicts);
+  obs::counter_add(spills_id, combined.stage2_spills);
+  obs::counter_add(waves_id, combined.wave_count);
+#endif
 
   combined.cost = scope.cost();
   // Planned operations and waves overlap in time (max within each tier);

@@ -81,11 +81,10 @@ struct OpReport {
   /// splits/merges; the membership moves themselves were charged while
   /// planning).
   Cost commit_cost;
-  /// Sharded batches only: slots whose stage-1 merged membership outgrew
+  /// Sharded batches only: slots whose stage-1 rebuilt membership outgrew
   /// their slab extent and were re-homed by the sequential stage-2 commit
-  /// (MemberSlab::try_apply_edits returned false). Shard-independent — the
-  /// spill set depends only on the canonical per-slot edits and the extent
-  /// caps. The coverage-guided corpus (sim/corpus.hpp) treats "a spill
+  /// (MemberSlab::try_assign returned false). Shard-independent — the
+  /// spill set depends only on the rebuilt sizes and the extent caps. The coverage-guided corpus (sim/corpus.hpp) treats "a spill
   /// happened" as an observed-behavior bit.
   std::size_t stage2_spills = 0;
   /// Sharded batches only: exchange waves the wave scheduler ran this step
@@ -108,10 +107,11 @@ struct OpReport {
   /// resolve/stage1/stage2 below partition commit_ns.
   std::uint64_t plan_ns = 0;
   /// Sharded batches only: wall-clock nanoseconds of the commit's resolve
-  /// passes (sequential op edits + swap re-resolution at current homes).
+  /// passes (sequential op home writes + swap re-resolution at current
+  /// homes).
   std::uint64_t resolve_ns = 0;
   /// Sharded batches only: wall-clock nanoseconds of the stage-1 parallel
-  /// member-edit apply.
+  /// membership rebuild.
   std::uint64_t stage1_ns = 0;
   /// Sharded batches only: wall-clock nanoseconds of stage 2 (spill
   /// re-homing, Fenwick delta merge, deferred splits/merges, compaction
@@ -197,9 +197,10 @@ class NowSystem {
   /// deduplicated secondary wave per partner cluster. Planning reads the
   /// persistent PlanCache (core/plan_cache.hpp), maintained incrementally
   /// across batches. Commit resolves every planned move sequentially in
-  /// canonical order, each swap at its endpoints' current homes. Stage 1
-  /// then applies the per-cluster member edits shard-parallel against
-  /// contiguous slot blocks, and stage 2 merges the per-shard size deltas
+  /// canonical order, each swap at its endpoints' current homes, writing
+  /// node_home as it goes. Stage 1 then rebuilds each touched cluster's
+  /// membership from node_home shard-parallel against contiguous slot
+  /// blocks, and stage 2 merges the per-shard size deltas
   /// into the Fenwick mirror and runs the deferred splits/merges
   /// sequentially. Because plans depend only on the snapshot and
   /// per-op/per-wave streams, the wave list is canonical, and the resolve

@@ -16,7 +16,7 @@
 //     uniform sampling;
 //   * member lists — ONE flat NodeId pool (cluster/member_slab.hpp) carved
 //     into per-slot extents with amortized headroom; each Cluster is a thin
-//     view over its extent, so stage-1 member-edit workers stream
+//     view over its extent, so stage-1 membership-rebuild workers stream
 //     sequential memory instead of chasing k separate vectors. The slab
 //     lives behind a unique_ptr so the Cluster views' slab pointer survives
 //     NowState moves;
@@ -30,23 +30,28 @@
 // only handed out const. Two sanctioned exceptions:
 //   * corrupt_home_for_test, for invariant tests that need to break the
 //     bookkeeping on purpose;
-//   * the parallel-commit primitives (apply_member_edits / commit_home /
-//     commit_spilled_members / apply_size_deltas / adjust_placed_count),
-//     the stage-1/stage-2 split of the sharded batch commit (DESIGN.md §7):
-//     member-extent edits and node_home writes happen shard-parallel
-//     against disjoint slots, slots whose merged membership outgrew their
-//     extent are spilled to a sequential stage-2 commit, and the Fenwick
-//     mirror and the placed-node count are reconciled afterwards in one
-//     sequential merge. Their contracts spell out exactly which shared
-//     structure each one may touch.
+//   * the parallel-commit primitives (commit_home / clear_home /
+//     rebuild_members / commit_spilled_members / apply_size_deltas /
+//     adjust_placed_count), the resolve/stage-1/stage-2 split of the
+//     sharded batch commit (DESIGN.md §7): the sequential resolve writes
+//     every node's final home into node_home, stage 1 rebuilds each
+//     touched slot's member extent from node_home shard-parallel against
+//     disjoint slots (node_home is read-only for the whole of stage 1),
+//     slots whose rebuilt membership outgrew their extent are spilled to a
+//     sequential stage-2 commit, and the Fenwick mirror and the placed-node
+//     count are reconciled afterwards in one sequential merge. Their
+//     contracts spell out exactly which shared structure each one may
+//     touch.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -64,6 +69,15 @@ namespace now::core {
 
 class SnapshotReader;
 class SnapshotWriter;
+
+/// Stage 1 found a cluster whose membership rebuilt from node_home does not
+/// have the size the resolve recorded for it: node_home and the resolve's
+/// per-slot arrival/net bookkeeping disagree (a resolve bug, or a home
+/// forged by corrupt_home_for_test). Thrown before the extent is written.
+class MembershipMismatch : public std::logic_error {
+ public:
+  using std::logic_error::logic_error;
+};
 
 class NowState {
  public:
@@ -214,95 +228,88 @@ class NowState {
   //
   // The sharded batch commit resolves membership moves sequentially in
   // canonical order (commit_home / clear_home keep node_home current as it
-  // goes), then stage 1 partitions the touched cluster slots into
-  // contiguous blocks and lets each shard apply its clusters' member edits
-  // concurrently — writing
-  // each slot's merged membership in place into its slab extent, or
-  // spilling the slot when the merge outgrew the extent's cap (the spill
-  // set depends only on canonical per-slot edits and extent caps, so it is
-  // shard-independent). These primitives deliberately do NOT maintain the
-  // Fenwick size mirror or the placed-node count — each shard accumulates
-  // signed size deltas privately and stage 2 first re-homes the spilled
-  // slots (commit_spilled_members, ascending slot order), then folds the
-  // deltas back in sequentially. Between the resolve pass and the matching
-  // apply_size_deltas/adjust_placed_count calls, the size-dependent
-  // samplers (random_cluster_size_biased, num_nodes) and the member extents
-  // are out of sync with node_home and must not be consulted.
-
-  /// One ordered membership edit of a cluster slot: add (true) or remove
-  /// (false) `node`. Per-slot edit sequences are built sequentially in
-  /// canonical batch order, so the member extent's final layout is
-  /// independent of how slots are distributed over shards.
-  struct MemberEdit {
-    NodeId node;
-    bool add = false;
-  };
+  // goes), so when the resolve ends node_home holds every node's final
+  // home — the one record of where each node ends up. Stage 1 then
+  // partitions the touched cluster slots into contiguous blocks and lets
+  // each shard rebuild its clusters' memberships from node_home
+  // concurrently (rebuild_members) — writing each slot's new membership in
+  // place into its slab extent, or spilling the slot when it outgrew the
+  // extent's cap (the spill set depends only on the rebuilt sizes and
+  // extent caps, so it is shard-independent). node_home is read-only for
+  // the whole of stage 1. These primitives deliberately do NOT maintain
+  // the Fenwick size mirror or the placed-node count — each shard
+  // accumulates signed size deltas privately and stage 2 first re-homes
+  // the spilled slots (commit_spilled_members, ascending slot order), then
+  // folds the deltas back in sequentially. Between the resolve pass and
+  // the matching apply_size_deltas/adjust_placed_count calls, the
+  // size-dependent samplers (random_cluster_size_biased, num_nodes) and
+  // the member extents are out of sync with node_home and must not be
+  // consulted.
 
   /// Reusable buffers of one stage-1 worker (capacities persist across
-  /// apply_member_edits calls; contents are ignored on entry). `spills`
-  /// collects the slots whose merged membership did not fit their extent —
-  /// the caller commits them sequentially in stage 2 and clears the list.
+  /// rebuild_members calls; contents are ignored on entry). `spills`
+  /// collects the slots whose rebuilt membership did not fit their extent
+  /// — the caller commits them sequentially in stage 2 and clears the list.
   struct EditScratch {
-    std::vector<NodeId> adds;
-    std::vector<NodeId> removes;
+    std::vector<NodeId> arrivals;
     std::vector<NodeId> merge;
     std::vector<std::pair<std::size_t, std::vector<NodeId>>> spills;
   };
 
-  /// Applies `edits` to the cluster in `slot` and returns the net size
-  /// delta. The member extent is sorted, so the final content depends only
-  /// on the net effect, not the edit order: the edits are netted (a node
-  /// added and removed within the batch cancels) and merged directly inside
-  /// the slot's extent via MemberSlab::try_apply_edits — one
-  /// O(|members| + |edits|) in-place pass touching ONLY that slot's extent,
-  /// so the call is safe to run concurrently for distinct slots with
-  /// per-worker scratch. When the merge outgrew the extent, the merged run
-  /// is built in scratch and the slot parked on scratch.spills for the
-  /// sequential stage-2 commit instead (the returned delta already accounts
-  /// for it). The Fenwick mirror and placed_count are intentionally left
-  /// stale (see above).
-  std::int64_t apply_member_edits(std::size_t slot,
-                                  std::span<const MemberEdit> edits,
-                                  EditScratch& scratch) {
+  /// Stage 1: rebuilds the membership of the cluster in `slot` from
+  /// node_home. The new members are the old members whose home is still
+  /// this cluster plus the `arrivals` (every node the resolve moved here,
+  /// in any order, repeats allowed) whose home ended here; a node that
+  /// moved away and came back is both and counts once. Only the filtered
+  /// arrivals are sorted, then merged into the already-sorted survivors —
+  /// the same sorted set of net members the edits would produce, so the
+  /// extent bytes do not depend on the move order. `net` is the resolve's
+  /// signed size change for the slot (+1 per add, -1 per removal); the
+  /// rebuilt size is checked against it BEFORE any write, and a mismatch throws MembershipMismatch with the extent
+  /// untouched. The result is written in place (MemberSlab::try_assign)
+  /// or, when it outgrew the extent's cap, parked on scratch.spills for
+  /// the sequential stage-2 commit. Reads node_home and writes only this
+  /// slot's extent, so distinct slots may run concurrently with per-worker
+  /// scratch while nothing writes node_home. The Fenwick mirror and
+  /// placed_count are intentionally left stale (see above).
+  void rebuild_members(std::size_t slot, std::span<const NodeId> arrivals,
+                       std::int64_t net, EditScratch& scratch) {
     assert(slot < slots_.size() && slots_[slot].has_value());
-    scratch.adds.clear();
-    scratch.removes.clear();
-    for (const MemberEdit& edit : edits) {
-      (edit.add ? scratch.adds : scratch.removes).push_back(edit.node);
+    const ClusterId self = slots_[slot]->id();
+    std::vector<NodeId>& arrived = scratch.arrivals;
+    arrived.clear();
+    for (const NodeId node : arrivals) {
+      if (home_of(node) == self) arrived.push_back(node);
     }
-    const std::int64_t delta =
-        static_cast<std::int64_t>(scratch.adds.size()) -
-        static_cast<std::int64_t>(scratch.removes.size());
-    std::sort(scratch.adds.begin(), scratch.adds.end());
-    std::sort(scratch.removes.begin(), scratch.removes.end());
-    // Cancel add/remove pairs of the same node (sorted multiset
-    // difference; per node the net count is -1, 0 or +1).
+    std::sort(arrived.begin(), arrived.end());
+    arrived.erase(std::unique(arrived.begin(), arrived.end()), arrived.end());
+    const std::span<const NodeId> old = slab_->members(slot);
+    std::vector<NodeId>& merged = scratch.merge;
+    merged.clear();
     std::size_t a = 0;
-    std::size_t r = 0;
-    std::size_t a_out = 0;
-    std::size_t r_out = 0;
-    while (a < scratch.adds.size() && r < scratch.removes.size()) {
-      if (scratch.adds[a] == scratch.removes[r]) {
-        ++a;
-        ++r;
-      } else if (scratch.adds[a] < scratch.removes[r]) {
-        scratch.adds[a_out++] = scratch.adds[a++];
-      } else {
-        scratch.removes[r_out++] = scratch.removes[r++];
+    for (const NodeId member : old) {
+      if (home_of(member) != self) continue;
+      while (a < arrived.size() && arrived[a] < member) {
+        merged.push_back(arrived[a++]);
       }
+      if (a < arrived.size() && arrived[a] == member) ++a;  // came back
+      merged.push_back(member);
     }
-    while (a < scratch.adds.size()) scratch.adds[a_out++] = scratch.adds[a++];
-    while (r < scratch.removes.size()) {
-      scratch.removes[r_out++] = scratch.removes[r++];
+    merged.insert(merged.end(),
+                  arrived.begin() + static_cast<std::ptrdiff_t>(a),
+                  arrived.end());
+    if (static_cast<std::int64_t>(merged.size()) -
+            static_cast<std::int64_t>(old.size()) !=
+        net) {
+      throw MembershipMismatch(
+          "stage 1: slot " + std::to_string(slot) + " rebuilt to " +
+          std::to_string(merged.size()) + " members from " +
+          std::to_string(old.size()) + ", but the resolve recorded net " +
+          std::to_string(net));
     }
-    scratch.adds.resize(a_out);
-    scratch.removes.resize(r_out);
-    if (!slab_->try_apply_edits(slot, scratch.removes, scratch.adds)) {
-      cluster::merge_sorted_edits(slots_[slot]->members(), scratch.removes,
-                                  scratch.adds, scratch.merge);
-      scratch.spills.emplace_back(slot, scratch.merge);
+    if (!slab_->try_assign(slot, merged)) {
+      scratch.spills.emplace_back(slot, merged);
     }
-    return delta;
   }
 
   /// Stage 2 (sequential): re-homes a stage-1 spilled slot into a fresh

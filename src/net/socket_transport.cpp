@@ -19,6 +19,8 @@ namespace now::net {
 
 namespace {
 
+/// Socket frame kinds; kClose is the largest, and next_frame rejects any
+/// kind byte above it.
 enum FrameKind : std::uint8_t {
   kData = 0,
   kHello = 1,
@@ -106,7 +108,8 @@ constexpr std::uint32_t kMaxFrameLength =
 
 /// Extracts the next complete frame from `buf` starting at `offset`, or
 /// returns false if more bytes are needed. Advances `offset` past the frame.
-/// Throws TransportError on a length prefix outside [1, kMaxFrameLength].
+/// Throws TransportError on a length prefix outside [1, kMaxFrameLength]
+/// or a kind byte that names no FrameKind.
 [[nodiscard]] bool next_frame(const std::vector<std::uint8_t>& buf,
                               std::size_t& offset, ParsedFrame& out) {
   if (buf.size() - offset < 4) return false;
@@ -117,7 +120,12 @@ constexpr std::uint32_t kMaxFrameLength =
                          " exceeds the frame bound");
   }
   if (buf.size() - offset < 4 + static_cast<std::size_t>(len)) return false;
-  out.kind = static_cast<FrameKind>(buf[offset + 4]);
+  const std::uint8_t kind = buf[offset + 4];
+  if (kind > kClose) {
+    throw TransportError("socket frame kind " + std::to_string(kind) +
+                         " is not a known frame kind");
+  }
+  out.kind = static_cast<FrameKind>(kind);
   out.body = std::span<const std::uint8_t>(buf.data() + offset + 5, len - 1);
   offset += 4 + static_cast<std::size_t>(len);
   return true;

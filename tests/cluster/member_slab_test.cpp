@@ -1,6 +1,8 @@
 // Tests for the flat extent-based membership arena (cluster/member_slab.hpp,
 // DESIGN.md §9): the extent/cap policy, the parallel-safe try_assign + spill
-// protocol, compaction (trigger, packing, and — the tentpole contract — its
+// protocol, the commit's stage 1 (each touched cluster rebuilt from
+// node_home, checked against a std::set model across shard counts),
+// compaction (trigger, packing, and — the tentpole contract — its
 // UNOBSERVABILITY to everything RNG-visible), slab-geometry bit-identity
 // across shard counts, and snapshot round-trips of a
 // fragmented slab into a packed one.
@@ -10,7 +12,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <initializer_list>
 #include <memory>
+#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -174,50 +178,6 @@ TEST(MemberSlabTest, TryAssignFailsBeyondCapAndNeverMoves) {
   EXPECT_EQ(slab.tail(), tail_before);
 }
 
-TEST(MemberSlabTest, TryApplyEditsMatchesMergeAndThrowsBeforeMutating) {
-  // The in-place stage-1 merge must produce exactly merge_sorted_edits'
-  // output, refuse (untouched) when the merged run outgrows the cap, and
-  // throw on a stale removal list WITHOUT having mutated the extent.
-  cluster::MemberSlab slab;
-  slab.acquire_slot(0);
-  for (std::uint64_t v = 0; v < 40; v += 2) slab.insert_sorted(0, NodeId{v});
-  const auto extent_before = slab.extent(0);
-
-  // Mixed removals + additions, including an addition below the minimum
-  // and one above the maximum, against the reference merge.
-  const std::vector<NodeId> removals{NodeId{4}, NodeId{18}, NodeId{38}};
-  const std::vector<NodeId> additions{NodeId{0xFFFF}, NodeId{1}, NodeId{19}};
-  std::vector<NodeId> sorted_adds = additions;
-  std::sort(sorted_adds.begin(), sorted_adds.end());
-  std::vector<NodeId> expected;
-  cluster::merge_sorted_edits(slab.members(0), removals, sorted_adds,
-                              expected);
-  ASSERT_TRUE(slab.try_apply_edits(0, removals, sorted_adds));
-  EXPECT_TRUE(std::ranges::equal(slab.members(0), expected));
-  EXPECT_EQ(slab.extent(0).first, extent_before.first);
-  EXPECT_EQ(slab.extent(0).cap, extent_before.cap);
-  EXPECT_EQ(slab.packed(), cluster::MemberSlab::cap_for(expected.size()));
-
-  // Merged size beyond cap: refused, nothing changes.
-  std::vector<NodeId> overflow;
-  for (std::uint64_t v = 0; v <= extent_before.cap; ++v) {
-    overflow.emplace_back(0x10000 + v);
-  }
-  ASSERT_FALSE(slab.try_apply_edits(0, {}, overflow));
-  EXPECT_TRUE(std::ranges::equal(slab.members(0), expected));
-
-  // Stale removals — a non-member and a duplicate — throw the same
-  // std::invalid_argument as merge_sorted_edits, before any write.
-  const std::vector<NodeId> absent{NodeId{4}};  // removed by the merge above
-  EXPECT_THROW((void)slab.try_apply_edits(0, absent, {}),
-               std::invalid_argument);
-  const std::vector<NodeId> duplicate{NodeId{2}, NodeId{2}};
-  EXPECT_THROW((void)slab.try_apply_edits(0, duplicate, {}),
-               std::invalid_argument);
-  EXPECT_TRUE(std::ranges::equal(slab.members(0), expected));
-  EXPECT_EQ(slab.packed(), cluster::MemberSlab::cap_for(expected.size()));
-}
-
 TEST(MemberSlabTest, CompactionPacksAscendingSlotsAndResetsEmpties) {
   cluster::MemberSlab slab;
   for (std::size_t s = 0; s < 4; ++s) slab.acquire_slot(s);
@@ -326,16 +286,19 @@ TEST(MemberSlabTest, OversizedMergeSpillsToSequentialCommit) {
   }
   const std::uint64_t cap = state.member_slab().extent(slot).cap;
 
-  // A join burst larger than the extent's headroom: try_assign must refuse
-  // and park the slot on the spill list instead of relocating in stage 1.
-  std::vector<NowState::MemberEdit> edits;
+  // A join burst larger than the extent's headroom, resolved the way the
+  // batch commit does it (homes written, arrivals and net count recorded):
+  // try_assign must refuse and stage 1 park the slot on the spill list
+  // instead of relocating.
+  std::vector<NodeId> arrivals;
   for (std::uint64_t i = 0; i <= cap; ++i) {
-    edits.push_back({NodeId{1000 + i}, /*add=*/true});
+    const NodeId node{1000 + i};
+    state.commit_home(node, c);
+    arrivals.push_back(node);
   }
+  const auto delta = static_cast<std::int64_t>(arrivals.size());
   NowState::EditScratch scratch;
-  const std::int64_t delta =
-      state.apply_member_edits(slot, edits, scratch);
-  EXPECT_EQ(delta, static_cast<std::int64_t>(edits.size()));
+  state.rebuild_members(slot, arrivals, delta, scratch);
   ASSERT_EQ(scratch.spills.size(), 1u);
   EXPECT_EQ(scratch.spills[0].first, slot);
   // The extent is untouched until the sequential commit lands the spill.
@@ -344,7 +307,7 @@ TEST(MemberSlabTest, OversizedMergeSpillsToSequentialCommit) {
   state.commit_spilled_members(scratch.spills[0].first,
                                scratch.spills[0].second);
   scratch.spills.clear();
-  EXPECT_EQ(state.cluster_at(c).size(), 4u + edits.size());
+  EXPECT_EQ(state.cluster_at(c).size(), 4u + arrivals.size());
   EXPECT_TRUE(state.cluster_at(c).contains(NodeId{1000}));
   EXPECT_TRUE(state.cluster_at(c).contains(NodeId{1000 + cap}));
   EXPECT_GT(state.member_slab().extent(slot).cap, cap);
@@ -355,7 +318,310 @@ TEST(MemberSlabTest, OversizedMergeSpillsToSequentialCommit) {
       {slot, delta}};
   state.apply_size_deltas(deltas);
   state.adjust_placed_count(delta);
-  EXPECT_EQ(state.num_nodes(), 4u + edits.size());
+  EXPECT_EQ(state.num_nodes(), 4u + arrivals.size());
+}
+
+// --------------------------------------- stage 1: rebuild from node_home
+
+/// A NowState with one cluster per entry of `sizes`, filled with fresh
+/// node ids in order.
+std::vector<ClusterId> make_clusters(NowState& state,
+                                     std::initializer_list<std::size_t> sizes) {
+  std::vector<ClusterId> ids;
+  for (const std::size_t size : sizes) {
+    ids.push_back(state.create_cluster());
+    for (std::size_t i = 0; i < size; ++i) {
+      const NodeId node = state.fresh_node_id();
+      state.register_node(node);
+      state.add_member(ids.back(), node);
+    }
+  }
+  return ids;
+}
+
+std::vector<NodeId> members_of(const NowState& state, ClusterId c) {
+  const auto m = state.cluster_at(c).members();
+  return {m.begin(), m.end()};
+}
+
+TEST(StageOneTest, NodeThatLeavesAndComesBackIsKeptOnce) {
+  // C = {0, 1, 2}, P = {3, 4, 5}. Within one batch node 0 swaps C -> P
+  // with node 3, then swaps back P -> C with node 3 again: node 0 is both
+  // an old member of C whose home is C and an arrival at C, and must end
+  // up in C exactly once.
+  NowState state{small_over()};
+  const auto ids = make_clusters(state, {3, 3});
+  const ClusterId c = ids[0];
+  const ClusterId p = ids[1];
+  const NodeId x{0};
+  const NodeId y{3};
+  std::vector<NodeId> arrivals_c;
+  std::vector<NodeId> arrivals_p;
+  state.commit_home(x, p);
+  state.commit_home(y, c);
+  arrivals_p.push_back(x);
+  arrivals_c.push_back(y);
+  state.commit_home(x, c);
+  state.commit_home(y, p);
+  arrivals_c.push_back(x);
+  arrivals_p.push_back(y);
+
+  NowState::EditScratch scratch;
+  state.rebuild_members(state.slot_index(c), arrivals_c, 0, scratch);
+  state.rebuild_members(state.slot_index(p), arrivals_p, 0, scratch);
+  EXPECT_TRUE(scratch.spills.empty());
+  EXPECT_EQ(members_of(state, c),
+            (std::vector<NodeId>{NodeId{0}, NodeId{1}, NodeId{2}}));
+  EXPECT_EQ(members_of(state, p),
+            (std::vector<NodeId>{NodeId{3}, NodeId{4}, NodeId{5}}));
+}
+
+TEST(StageOneTest, SlotThatOnlyLosesMembersShrinks) {
+  // Leavers and no arrivals: the survivors are exactly the members whose
+  // home is still this cluster, and the extent stays where it was.
+  NowState state{small_over()};
+  const auto ids = make_clusters(state, {6});
+  const ClusterId c = ids[0];
+  const std::size_t slot = state.slot_index(c);
+  const auto extent_before = state.member_slab().extent(slot);
+  for (const NodeId leaver : {NodeId{1}, NodeId{4}}) {
+    state.clear_home(leaver);
+    state.unregister_node(leaver);
+  }
+  NowState::EditScratch scratch;
+  state.rebuild_members(slot, {}, -2, scratch);
+  EXPECT_TRUE(scratch.spills.empty());
+  EXPECT_EQ(members_of(state, c), (std::vector<NodeId>{NodeId{0}, NodeId{2},
+                                                       NodeId{3}, NodeId{5}}));
+  EXPECT_EQ(state.member_slab().extent(slot).first, extent_before.first);
+  EXPECT_EQ(state.member_slab().extent(slot).cap, extent_before.cap);
+  EXPECT_EQ(state.member_slab().packed(), cluster::MemberSlab::cap_for(4));
+}
+
+TEST(StageOneTest, ForgedHomeThrowsBeforeAnyWrite) {
+  // A home forged to point elsewhere makes the rebuilt membership one short
+  // of what the (empty) resolve recorded: stage 1 must throw the typed
+  // error and leave the extent bytes as they were.
+  NowState state{small_over()};
+  const auto ids = make_clusters(state, {5, 5});
+  const ClusterId c = ids[0];
+  const std::size_t slot = state.slot_index(c);
+  const std::vector<NodeId> before = members_of(state, c);
+  const auto extent_before = state.member_slab().extent(slot);
+  const std::uint64_t packed_before = state.member_slab().packed();
+  state.corrupt_home_for_test(NodeId{2}, ids[1]);
+
+  NowState::EditScratch scratch;
+  EXPECT_THROW(state.rebuild_members(slot, {}, 0, scratch),
+               MembershipMismatch);
+  EXPECT_EQ(members_of(state, c), before);
+  EXPECT_EQ(state.member_slab().extent(slot).size, extent_before.size);
+  EXPECT_EQ(state.member_slab().extent(slot).first, extent_before.first);
+  EXPECT_EQ(state.member_slab().packed(), packed_before);
+  EXPECT_TRUE(scratch.spills.empty());
+
+  // The same forged home reached through the batch engine's thread pool
+  // surfaces as the same typed error on the calling thread.
+  ThreadPool pool{1};
+  EXPECT_THROW(pool.parallel_for(2,
+                                 [&](std::size_t s) {
+                                   NowState::EditScratch local;
+                                   if (s == 1) {
+                                     state.rebuild_members(slot, {}, 0,
+                                                           local);
+                                   }
+                                 }),
+               MembershipMismatch);
+  EXPECT_EQ(members_of(state, c), before);
+}
+
+/// Drives the commit's resolve + stage-1 protocol directly against a
+/// std::set reference model of membership: random joins, leaves and swaps
+/// (a node may move several times, or move and then leave, within one
+/// batch) write node_home and record per-slot arrivals and net counts the
+/// way the resolve does; stage 1 then rebuilds every touched slot on
+/// `shards` workers over contiguous slot blocks, and stage 2 commits the
+/// spills in ascending slot order.
+class StageOneModel {
+ public:
+  StageOneModel(std::uint64_t seed, std::size_t shards)
+      : state_{small_over()}, rng_{seed}, shards_{shards},
+        pool_{shards - 1}, scratch_(shards) {
+    for (std::size_t c = 0; c < 24; ++c) {
+      ids_.push_back(state_.create_cluster());
+      model_.emplace_back();
+      for (std::uint64_t i = 0; i < 4 + rng_.uniform(40); ++i) {
+        const NodeId node = state_.fresh_node_id();
+        state_.register_node(node);
+        state_.add_member(ids_[c], node);
+        model_[c].insert(node);
+        live_.push_back(node);
+      }
+    }
+  }
+
+  /// One batch of `ops` random operations; `join_bias` in [0, 100) is the
+  /// percentage of joins, which land on the first `join_spread` clusters
+  /// (a burst on few clusters outgrows their headroom and spills).
+  void batch(std::size_t ops, std::uint64_t join_bias,
+             std::size_t join_spread) {
+    touched_.clear();
+    arrivals_.assign(ids_.size(), {});
+    net_.assign(ids_.size(), 0);
+    std::int64_t placed_delta = 0;
+    for (std::size_t op = 0; op < ops; ++op) {
+      const std::uint64_t roll = rng_.uniform(100);
+      if (roll < join_bias || live_.size() < 2) {
+        const std::size_t c = rng_.uniform(join_spread);
+        const NodeId node = state_.fresh_node_id();
+        state_.register_node(node);
+        state_.commit_home(node, ids_[c]);
+        model_[c].insert(node);
+        live_.push_back(node);
+        arrive(c, node);
+        ++net_[c];
+        ++placed_delta;
+      } else if (roll < join_bias + (100 - join_bias) / 3) {
+        const std::size_t at = rng_.uniform(live_.size());
+        const NodeId node = live_[at];
+        const std::size_t c = index_of(state_.home_of(node));
+        state_.clear_home(node);
+        state_.unregister_node(node);
+        model_[c].erase(node);
+        live_[at] = live_.back();
+        live_.pop_back();
+        touch(c);
+        --net_[c];
+        --placed_delta;
+      } else {
+        const NodeId x = live_[rng_.uniform(live_.size())];
+        const NodeId y = live_[rng_.uniform(live_.size())];
+        const ClusterId x_home = state_.home_of(x);
+        const ClusterId y_home = state_.home_of(y);
+        if (x_home == y_home) continue;
+        const std::size_t xc = index_of(x_home);
+        const std::size_t yc = index_of(y_home);
+        state_.commit_home(x, y_home);
+        state_.commit_home(y, x_home);
+        model_[xc].erase(x);
+        model_[yc].insert(x);
+        model_[yc].erase(y);
+        model_[xc].insert(y);
+        arrive(yc, x);
+        arrive(xc, y);
+      }
+    }
+
+    const std::size_t slot_block =
+        (state_.slot_count() + shards_ - 1) / shards_;
+    std::vector<std::vector<std::pair<std::size_t, std::int64_t>>> deltas(
+        shards_);
+    pool_.parallel_for(shards_, [&](std::size_t s) {
+      for (const std::size_t c : touched_) {
+        const std::size_t slot = state_.slot_index(ids_[c]);
+        if (slot / slot_block != s) continue;
+        state_.rebuild_members(slot, arrivals_[c], net_[c], scratch_[s]);
+        if (net_[c] != 0) deltas[s].emplace_back(slot, net_[c]);
+      }
+    });
+    std::vector<std::pair<std::size_t, const std::vector<NodeId>*>> spilled;
+    for (const auto& w : scratch_) {
+      for (const auto& [slot, members] : w.spills) {
+        spilled.emplace_back(slot, &members);
+      }
+    }
+    std::sort(spilled.begin(), spilled.end());
+    spills_ += spilled.size();
+    for (const auto& [slot, members] : spilled) {
+      state_.commit_spilled_members(slot, *members);
+    }
+    for (auto& w : scratch_) w.spills.clear();
+    std::vector<std::pair<std::size_t, std::int64_t>> all;
+    for (const auto& d : deltas) all.insert(all.end(), d.begin(), d.end());
+    std::sort(all.begin(), all.end());
+    state_.apply_size_deltas(all);
+    state_.adjust_placed_count(placed_delta);
+    state_.maybe_compact_slab();
+  }
+
+  /// Every cluster's extent equals its reference set, and every live
+  /// node's home is the cluster holding it.
+  void expect_matches_model() const {
+    std::size_t total = 0;
+    for (std::size_t c = 0; c < ids_.size(); ++c) {
+      const auto members = state_.cluster_at(ids_[c]).members();
+      ASSERT_TRUE(std::ranges::equal(members, model_[c])) << "cluster " << c;
+      for (const NodeId node : members) {
+        ASSERT_EQ(state_.home_of(node), ids_[c]) << "node " << node;
+      }
+      total += members.size();
+    }
+    EXPECT_EQ(total, live_.size());
+    EXPECT_EQ(state_.num_nodes(), live_.size());
+    expect_slab_consistent(state_);
+  }
+
+  [[nodiscard]] const NowState& state() const { return state_; }
+  [[nodiscard]] std::size_t spills() const { return spills_; }
+
+ private:
+  void touch(std::size_t c) {
+    if (std::find(touched_.begin(), touched_.end(), c) == touched_.end()) {
+      touched_.push_back(c);
+    }
+  }
+  void arrive(std::size_t c, NodeId node) {
+    touch(c);
+    arrivals_[c].push_back(node);
+  }
+  [[nodiscard]] std::size_t index_of(ClusterId id) const {
+    return static_cast<std::size_t>(
+        std::find(ids_.begin(), ids_.end(), id) - ids_.begin());
+  }
+
+  NowState state_;
+  Rng rng_;
+  std::size_t shards_;
+  ThreadPool pool_;
+  std::vector<NowState::EditScratch> scratch_;
+  std::vector<ClusterId> ids_;
+  std::vector<std::set<NodeId>> model_;
+  std::vector<NodeId> live_;
+  std::vector<std::size_t> touched_;
+  std::vector<std::vector<NodeId>> arrivals_;
+  std::vector<std::int64_t> net_;
+  std::size_t spills_ = 0;
+};
+
+TEST(StageOneTest, RandomBatchesMatchSetModelAtEveryShardCount) {
+  constexpr std::size_t kShardAxis[] = {1, 2, 4, 8};
+  for (const std::uint64_t seed : {7u, 1234u, 98765u}) {
+    std::vector<SlabSignature> layouts;
+    for (const std::size_t shards : kShardAxis) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", shards " +
+                   std::to_string(shards));
+      StageOneModel model{seed, shards};
+      for (int b = 0; b < 40; ++b) {
+        // Every eighth batch is a join burst on two clusters, so spills
+        // happen too.
+        if (b % 8 == 7) {
+          model.batch(60, 90, 2);
+        } else {
+          model.batch(60, 30, 24);
+        }
+        model.expect_matches_model();
+        if (HasFatalFailure()) return;
+      }
+      EXPECT_GT(model.spills(), 0u) << "no batch exercised the spill path";
+      layouts.push_back(slab_signature(model.state()));
+    }
+    // The slab layout, not just membership, is shard-independent.
+    for (std::size_t v = 1; v < layouts.size(); ++v) {
+      EXPECT_EQ(layouts[v], layouts[0])
+          << "seed " << seed << ": shards " << kShardAxis[v]
+          << " laid the slab out differently from shards 1";
+    }
+  }
 }
 
 // ----------------------------------------------- system-level slab behavior

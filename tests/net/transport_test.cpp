@@ -447,5 +447,31 @@ TEST(SocketHubTest, OversizedFrameLengthThrowsInsteadOfBlocking) {
   client.join();
 }
 
+TEST(SocketHubTest, UnknownFrameKindThrowsTypedError) {
+  auto hub = SocketHub::listen(1);
+  std::atomic<bool> hub_returned{false};
+  std::thread client([&hub_returned, port = hub->port()] {
+    // A complete frame of HELLO's shape (length 9: kind + u64 process id)
+    // whose kind byte names no frame kind.
+    const int bad = connect_raw(port);
+    const std::uint8_t frame[] = {9, 0, 0, 0, 0xFF, 0, 0, 0, 0, 0, 0, 0, 0};
+    if (bad >= 0) (void)::send(bad, frame, sizeof frame, MSG_NOSIGNAL);
+    while (!hub_returned) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    if (bad >= 0) ::close(bad);
+  });
+  std::string message;
+  try {
+    hub->accept_initial();
+  } catch (const TransportError& e) {
+    message = e.what();
+  }
+  hub_returned = true;
+  client.join();
+  EXPECT_NE(message.find("frame kind 255"), std::string::npos)
+      << "got: " << message;
+}
+
 }  // namespace
 }  // namespace now::net

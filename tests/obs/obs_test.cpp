@@ -1,6 +1,6 @@
 // Telemetry-layer tests (DESIGN.md §13): registry merge determinism
 // across thread counts, log2 histogram bucket boundaries, span ring
-// wraparound, trace-export JSON validity from a forked two-process socket
+// wraparound, the batch engine's work counters, trace-export JSON validity from a forked two-process socket
 // run, and the determinism contract — run digests are bit-identical with
 // telemetry enabled, disabled, or compiled out (NOW_OBS=OFF builds this
 // same file and the pinned digest must not move).
@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/now.hpp"
 #include "net/socket_transport.hpp"
 #include "obs/json.hpp"
 #include "sim/shard_runtime.hpp"
@@ -263,6 +264,48 @@ TEST(TraceExportTest, ForkedTwoProcessRunWritesValidTraceEventJson) {
     EXPECT_EQ(shard_steps, spec.steps);
   }
   fs::remove_all(dir);
+}
+
+// ------------------------------------------------------ engine counters
+
+/// The batch engine bumps step.conflicts, step.stage2_spills and
+/// step.waves once per batch by that batch's OpReport fields, so after N
+/// batches each counter is the sum of the N reports (and 0 when telemetry
+/// is compiled out).
+TEST(ObsCountersTest, EngineWorkCountersEqualSummedOpReports) {
+  ObsEnabledScope obs;
+  core::NowParams params;
+  params.max_size = 1 << 12;
+  params.walk_mode = core::WalkMode::kSampleExact;
+  params.k = 10;
+  params.tau = 0.10;
+  Metrics metrics;
+  core::NowSystem system{params, metrics, 23};
+  system.initialize(1200, 120, core::InitTopology::kModeledSparse);
+  Rng victims{23 ^ 5};
+  std::uint64_t conflicts = 0;
+  std::uint64_t spills = 0;
+  std::uint64_t waves = 0;
+  for (int batch = 0; batch < 12; ++batch) {
+    // Leave-heavy batches conflict; the odd join bursts spill.
+    const std::size_t joins = batch % 3 == 2 ? 120 : 4;
+    const auto leaves = system.state().sample_distinct_nodes(victims, 24);
+    const auto [joined, report] =
+        system.step_parallel_mixed(joins, 0, leaves, 4);
+    conflicts += report.conflicts;
+    spills += report.stage2_spills;
+    waves += report.wave_count;
+  }
+  ASSERT_GT(conflicts, 0u);
+  ASSERT_GT(spills, 0u);
+  ASSERT_GT(waves, 0u);
+  auto& reg = Registry::instance();
+  const std::uint64_t scale = kCompiledIn ? 1 : 0;
+  EXPECT_EQ(reg.counter_value(reg.counter("step.conflicts")),
+            scale * conflicts);
+  EXPECT_EQ(reg.counter_value(reg.counter("step.stage2_spills")),
+            scale * spills);
+  EXPECT_EQ(reg.counter_value(reg.counter("step.waves")), scale * waves);
 }
 
 // ---------------------------------------------------------- determinism
