@@ -174,9 +174,12 @@ core::NowParams churn_params(std::size_t n) {
 /// means of the plan phase and the commit phase (with the commit further
 /// broken into resolve / stage-1 apply / stage-2 merge) plus exchange
 /// waves — the breakdown that attributes whole-step movement to the phase
-/// that caused it.
+/// that caused it. `metrics` (the system's cost sink) is drained after
+/// every iteration, as a long-running caller would: it keeps one sample
+/// per operation, so memory would otherwise grow with the iteration count.
 void run_join_leave_batches(benchmark::State& state, core::NowSystem& system,
-                            std::size_t batch, std::size_t shards) {
+                            Metrics& metrics, std::size_t batch,
+                            std::size_t shards) {
   double commit_ns = 0;
   double plan_ns = 0;
   double resolve_ns = 0;
@@ -201,6 +204,7 @@ void run_join_leave_batches(benchmark::State& state, core::NowSystem& system,
     stage2_ns += static_cast<double>(up.stage2_ns + down.stage2_ns);
     wave_count += static_cast<double>(up.wave_count + down.wave_count);
     batches += 2;
+    metrics.reset();
   }
   if (batches > 0) {
     const auto per_batch = [batches](double total) {
@@ -231,7 +235,7 @@ void BM_JoinLeaveCycle(benchmark::State& state) {
   core::NowSystem system{churn_params(n), metrics, 9};
   system.initialize(n, n * 15 / 100, core::InitTopology::kModeledSparse);
   if (shards > 1) {
-    run_join_leave_batches(state, system, 32, shards);
+    run_join_leave_batches(state, system, metrics, 32, shards);
     return;
   }
   for (auto _ : state) {
@@ -267,7 +271,7 @@ void BM_JoinLeaveCycleObs(benchmark::State& state) {
   core::NowSystem system{churn_params(n), metrics, 9};
   system.initialize(n, n * 15 / 100, core::InitTopology::kModeledSparse);
   obs::set_enabled(true);
-  run_join_leave_batches(state, system, 32, shards);
+  run_join_leave_batches(state, system, metrics, 32, shards);
   obs::set_enabled(false);
   obs::SpanRecorder::instance().reset();
   obs::Registry::instance().reset();
@@ -284,32 +288,35 @@ BENCHMARK(BM_JoinLeaveCycleObs)->UseManualTime()->Args({100000, 4});
 /// nightly runs the full 1e7 row and uploads the phase breakdown.
 ///
 /// Every invocation builds its own deployment (initialize is linear in n).
+/// The iteration count is fixed: the framework would size the loop from
+/// the per-pair manual time (~1/4096 of an iteration's real duration) and
+/// run thousands of 4096-op up/down iterations.
 void BM_HugeBatch(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Metrics metrics;
   core::NowSystem system{churn_params(n), metrics, 9};
   system.initialize(n, n * 15 / 100, core::InitTopology::kModeledSparse);
-  run_join_leave_batches(state, system, 4096, 8);
+  run_join_leave_batches(state, system, metrics, 4096, 8);
   state.counters["bytes_per_node"] =
       static_cast<double>(system.footprint_bytes()) /
       static_cast<double>(system.num_nodes());
 }
 BENCHMARK(BM_HugeBatch)
     ->UseManualTime()
+    ->Iterations(20)
     ->Arg(1000000)
     ->Arg(10000000);
 
-/// The stage-1 hot loop in isolation: rebuild_members over every cluster of
-/// an n-node partition — node_home filter of the old members and of the
-/// arrivals, arrival sort, one-pass merge, in-place slab try_assign — with
-/// slots block-partitioned over `shards` workers, exactly the shape of the
-/// batch commit's stage 1. Moves alternate between a forward sweep (swap
-/// each cluster's 8 lowest members for 8 fresh ids) and its inverse, so the
-/// state is steady, net counts are zero, and no sweep ever spills. The
-/// node_home writes that play the resolve's part happen between the timed
-/// sweeps, outside the timed region, so only stage 1 is measured. Time is
-/// reported per cluster rebuild; this is the microbenchmark
-/// BM_JoinLeaveCycle's stage-1 cost is attributed with.
+/// Stage 1 in isolation: NowState::rebuild_memberships over every cluster
+/// of an n-node partition — the two-pass counting sort of node_home in
+/// NodeId order on `shards` workers, in-place extent writes and the size
+/// commit — exactly the batch commit's stage 1. Moves alternate between a
+/// forward sweep (swap each cluster's 8 lowest members for 8 fresh ids)
+/// and its inverse, so the state is steady, net counts are zero, and no
+/// sweep ever spills. The node_home writes that play the resolve's part
+/// happen between the timed sweeps, outside the timed region, so only
+/// stage 1 is measured. Time is reported per cluster rebuilt; this is the
+/// microbenchmark BM_JoinLeaveCycle's stage-1 cost is attributed with.
 void BM_MemberEditApply(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto shards = static_cast<std::size_t>(state.range(1));
@@ -334,8 +341,7 @@ void BM_MemberEditApply(benchmark::State& state) {
     }
   }
   // Per cluster: the 8 members the forward sweep moves out, and the 8
-  // fresh ids it moves in (the backward sweep's arrivals and the forward
-  // sweep's, respectively).
+  // fresh ids it moves in (the backward sweep moves them back).
   std::vector<std::vector<NodeId>> old_ids(k);
   std::vector<std::vector<NodeId>> new_ids(k);
   for (std::size_t ci = 0; ci < k; ++ci) {
@@ -354,34 +360,30 @@ void BM_MemberEditApply(benchmark::State& state) {
     }
   };
   ThreadPool pool{shards > 1 ? shards - 1 : 0};
-  std::vector<core::NowState::EditScratch> scratch(shards);
-  const auto sweep = [&](const std::vector<std::vector<NodeId>>& arrivals) {
+  const std::vector<std::int64_t> net_of_slot(st.slot_count(), 0);
+  core::NowState::StageOneScratch scratch;
+  std::size_t spills = 0;
+  const auto sweep = [&] {
     const auto start = std::chrono::steady_clock::now();
-    pool.parallel_for(shards, [&](std::size_t s) {
-      const std::size_t begin = s * k / shards;
-      const std::size_t end = (s + 1) * k / shards;
-      for (std::size_t ci = begin; ci < end; ++ci) {
-        st.rebuild_members(slots[ci], arrivals[ci], 0, scratch[s]);
-      }
-    });
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-        .count();
+    st.rebuild_memberships(slots, net_of_slot, pool, shards, scratch);
+    const double elapsed = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    spills += scratch.spills.size();
+    return elapsed;
   };
   double total_seconds = 0.0;
   for (auto _ : state) {
     resolve(old_ids, new_ids);
-    double elapsed = sweep(new_ids);
+    double elapsed = sweep();
     resolve(new_ids, old_ids);
-    elapsed += sweep(old_ids);
+    elapsed += sweep();
     benchmark::ClobberMemory();
     state.SetIterationTime(elapsed);
     total_seconds += elapsed;
   }
-  for (const auto& sc : scratch) {
-    if (!sc.spills.empty()) {
-      state.SkipWithError("steady-state sweep spilled unexpectedly");
-    }
+  if (spills > 0) {
+    state.SkipWithError("steady-state sweep spilled unexpectedly");
   }
   // Per-cluster cost: each iteration rebuilds every cluster twice (one
   // forward and one backward sweep).

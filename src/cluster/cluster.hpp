@@ -87,8 +87,8 @@ class Cluster {
   /// add/remove_member call each is O(|members|). `scratch` is the caller's
   /// reusable buffer (capacity persists across calls, contents ignored).
   /// Sequential only: the extent may relocate. The batch commit's parallel
-  /// stage 1 instead rebuilds each touched extent from node_home
-  /// (NowState::rebuild_members) and writes it with MemberSlab::try_assign.
+  /// stage 1 instead rebuilds every touched extent from node_home
+  /// (NowState::rebuild_memberships, one counting sort by node id).
   void apply_sorted_edits(std::span<const NodeId> removals,
                           std::span<const NodeId> additions,
                           std::vector<NodeId>& scratch) {

@@ -3,9 +3,9 @@
 // All cluster member lists live in ONE contiguous NodeId pool, partitioned
 // into per-slot extents [first, first + size) with amortized headroom
 // (cap >= size). Cluster becomes a thin view over its extent, so the batch
-// commit's stage-1 workers stream sequential memory over contiguous slot
-// blocks instead of chasing one heap allocation per cluster, and a snapshot
-// of the whole membership is one bulk write per slot's member run.
+// commit's stage-1 workers scatter every touched cluster's new members
+// straight into one pool instead of one heap allocation per cluster, and a
+// snapshot of the whole membership is one bulk write per slot's member run.
 //
 // Layout determinism contract: the extent table (and therefore every slab
 // position) must be bit-identical across shard counts. That holds
@@ -14,16 +14,13 @@
 //     stage-2 split/merge/spill paths;
 //   * compact() — triggered by a fixed threshold on (tail_, packed_), both
 //     of which evolve through the same canonical mutation sequence
-//     everywhere (try_assign adjusts packed_ with a relaxed atomic add, an
-//     order-independent sum over per-slot deltas that are themselves
-//     shard-independent).
-// The only parallel mutator is try_assign, which writes strictly inside its
-// slot's pre-existing extent (disjoint byte ranges across slots) and never
-// moves anything.
+//     everywhere.
+// The only parallel writes are stage 1's scatters into extent_data(),
+// strictly inside pre-existing extents (disjoint byte ranges); the sizes
+// they produce are committed sequentially afterwards (set_member_count).
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <limits>
@@ -143,30 +140,27 @@ class MemberSlab {
     maybe_compact();
   }
 
-  // ------------------------------------------------- parallel-safe mutators
+  // ------------------------------------------------------ stage-1 writes
 
-  /// In-place assign for the stage-1 workers: succeeds only when `members`
-  /// fits the slot's existing cap (never relocates, never touches tail_ or
-  /// another slot's range — distinct slots write disjoint pool bytes).
-  /// Returns false when the caller must spill the slot to the sequential
-  /// stage-2 commit. packed_ is adjusted with a relaxed atomic add: the
-  /// total is an order-independent sum, so it stays deterministic.
-  [[nodiscard]] bool try_assign(std::size_t slot,
-                                std::span<const NodeId> members) {
-    Extent& e = extents_[slot];
-    if (members.size() > e.cap) return false;
-    std::copy(members.begin(), members.end(),
-              pool_.begin() + static_cast<std::ptrdiff_t>(e.first));
-    set_size(e, members.size());
-    return true;
+  /// The slot's extent in the pool, [first, first + cap): stage-1 workers
+  /// scatter the slot's new members into it concurrently (distinct slots,
+  /// and disjoint ranges of one slot, are disjoint pool bytes). Never
+  /// relocates; a membership larger than cap must go through assign().
+  [[nodiscard]] NodeId* extent_data(std::size_t slot) {
+    return pool_.data() + extents_[slot].first;
+  }
+
+  /// Sets the slot's member count after its extent was filled in place
+  /// (sequential; size <= cap).
+  void set_member_count(std::size_t slot, std::size_t size) {
+    assert(size <= extents_[slot].cap);
+    set_size(extents_[slot], size);
   }
 
   // ------------------------------------------------------------ compaction
 
   [[nodiscard]] std::uint64_t tail() const { return tail_; }
-  [[nodiscard]] std::uint64_t packed() const {
-    return packed_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t packed() const { return packed_; }
   [[nodiscard]] std::uint64_t compaction_count() const { return compactions_; }
 
   /// Resident bytes: the member pool plus the extent table (capacities).
@@ -239,15 +233,14 @@ class MemberSlab {
   /// Sets the extent's size, adjusting packed_ by the delta (unsigned
   /// wrap-around makes a shrink a subtraction).
   void set_size(Extent& e, std::uint64_t size) {
-    packed_.fetch_add(packed_cap(size) - packed_cap(e.size),
-                      std::memory_order_relaxed);
+    packed_ += packed_cap(size) - packed_cap(e.size);
     e.size = static_cast<std::uint32_t>(size);
   }
 
   std::vector<NodeId> pool_;
   std::vector<Extent> extents_;
   std::uint64_t tail_ = 0;  // allocated prefix of pool_
-  std::atomic<std::uint64_t> packed_{0};  // sum of packed_cap(extent size)
+  std::uint64_t packed_ = 0;  // sum of packed_cap(extent size)
   std::uint64_t compactions_ = 0;
 };
 

@@ -8,7 +8,9 @@
 // O(log n) ordered maps it replaces on the join/leave hot path.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -19,6 +21,9 @@ namespace now {
 template <typename T>
 class PagedIndex {
  public:
+  static constexpr std::size_t kPageBits = 10;  // 1024 entries per page
+  static constexpr std::size_t kPageSize = std::size_t{1} << kPageBits;
+
   /// `empty` is returned for keys that were never set (and stored in the
   /// unset slots of allocated pages).
   explicit PagedIndex(T empty = T{}) : empty_(empty) {}
@@ -68,6 +73,25 @@ class PagedIndex {
 
   void clear() { pages_.clear(); }
 
+  /// Page slots, allocated or not: keys below page_count() * kPageSize.
+  [[nodiscard]] std::size_t page_count() const { return pages_.size(); }
+
+  /// The kPageSize entries of keys [page * kPageSize, (page + 1) *
+  /// kPageSize), or nullptr when the page is not allocated. Bulk scans
+  /// read whole pages through this instead of one get() per key.
+  [[nodiscard]] const T* page(std::size_t page) const {
+    return pages_[page] == nullptr ? nullptr : pages_[page]->data();
+  }
+
+  /// Frees a page whose entries are all empty. Observably a no-op: get()
+  /// of its keys still reads empty and the next set() re-allocates it.
+  void release_page(std::size_t page) {
+    assert(pages_[page] != nullptr);
+    assert(std::all_of(pages_[page]->begin(), pages_[page]->end(),
+                       [this](const T& v) { return v == empty_; }));
+    pages_[page].reset();
+  }
+
   [[nodiscard]] T empty_value() const { return empty_; }
 
   /// Requests the cache line holding `key`'s entry (no-op for unset
@@ -89,8 +113,6 @@ class PagedIndex {
   }
 
  private:
-  static constexpr std::size_t kPageBits = 10;  // 1024 entries per page
-  static constexpr std::size_t kPageSize = std::size_t{1} << kPageBits;
   using Page = std::array<T, kPageSize>;
 
   static constexpr std::size_t page_of(std::uint64_t key) {

@@ -56,7 +56,8 @@ over::OverParams make_over_params(const NowParams& p) {
 // concurrently, one shard per thread, each operation and each exchange wave
 // on its own derived RNG stream) and a COMMIT phase (a sequential resolve
 // decides every membership move in canonical order into node_home, stage 1
-// rebuilds each touched cluster from node_home shard-parallel, stage 2
+// rebuilds every touched cluster from node_home with one shard-parallel
+// counting sort, stage 2
 // merges size deltas and runs the deferred splits/merges sequentially).
 // Plans never touch NowState non-const — everything they decide is
 // recorded here.
@@ -114,7 +115,7 @@ constexpr std::size_t kNoWave = static_cast<std::size_t>(-1);
 /// through a unique_ptr; the header only forward-declares it). Everything
 /// here is either a cache whose content survives batches (PlanCache, the
 /// per-cluster wave caches) or scratch whose *capacity* survives (per-slot
-/// arrival lists, per-shard workspaces) so steady-state
+/// leaver lists, per-worker stage-1 counts) so steady-state
 /// batches run allocation-free. Per-slot scratch is epoch-stamped
 /// (DESIGN.md §11): `slot_epoch` bumps once per batch, every write stamps
 /// it, and a read whose stamp is stale sees "untouched" — no per-batch
@@ -164,25 +165,21 @@ struct BatchScratch {
   std::vector<std::uint64_t> candidate_epoch_of_slot;
 
   // Commit-engine scratch. The resolve records, per touched cluster slot,
-  // only the nodes that ARRIVED there (any order, repeats allowed) and the
-  // slot's signed net size change; where each node ends up is node_home's
-  // job. Both are valid only while `touch_epoch_of_slot[slot] ==
-  // slot_epoch` (the first touch of a batch resets them), so a slot that
-  // only loses members is touched too. Stage 1 rebuilds each touched slot
-  // from node_home with per-shard workspaces and signed size-delta arrays.
-  std::vector<std::vector<NodeId>> arrivals_by_slot;
+  // only the slot's signed net size change; where each node ends up is
+  // node_home's job. The count is valid only while
+  // `touch_epoch_of_slot[slot] == slot_epoch` (the first touch of a batch
+  // resets it); a slot that only loses members, or only trades them in
+  // swaps, is touched too. Stage 1 rebuilds every touched slot from
+  // node_home with one counting sort (NowState::rebuild_memberships).
   std::vector<std::int64_t> net_of_slot;
   std::vector<std::uint64_t> touch_epoch_of_slot;
-  std::vector<NowState::EditScratch> edit_workspaces;
-  std::vector<std::vector<std::pair<std::size_t, std::int64_t>>>
-      delta_scratch;
+  NowState::StageOneScratch stage_one;
 
   // Commit-phase scratch that used to be per-batch locals; hoisted so
   // steady-state batches stay allocation-free (capacities persist).
   std::vector<std::size_t> touched_slots;
   std::vector<ClusterId> candidates;
   std::vector<std::pair<std::size_t, std::int64_t>> all_deltas;
-  std::vector<std::pair<std::size_t, const std::vector<NodeId>*>> spilled;
 
   /// Grows every per-slot scratch array to `slot_count` entries, with
   /// geometric over-allocation so total growth work stays amortized O(1)
@@ -198,7 +195,6 @@ struct BatchScratch {
     wave_epoch_of_slot.resize(grown, 0);
     candidate_epoch_of_slot.resize(grown, 0);
     wave_cache.resize(grown);
-    arrivals_by_slot.resize(grown);
     net_of_slot.resize(grown, 0);
     touch_epoch_of_slot.resize(grown, 0);
   }
@@ -241,22 +237,15 @@ struct BatchScratch {
     bytes += vec_bytes(leaver_epoch_of_slot) +
              vec_bytes(wave_of_slot) + vec_bytes(wave_epoch_of_slot) +
              vec_bytes(candidate_epoch_of_slot);
-    bytes += vec_bytes(arrivals_by_slot);
-    for (const auto& a : arrivals_by_slot) bytes += vec_bytes(a);
     bytes += vec_bytes(net_of_slot) + vec_bytes(touch_epoch_of_slot);
-    bytes += vec_bytes(edit_workspaces);
-    for (const NowState::EditScratch& w : edit_workspaces) {
-      bytes += vec_bytes(w.arrivals) + vec_bytes(w.merge) +
-               vec_bytes(w.spills);
-      for (const auto& [slot, members] : w.spills) {
-        (void)slot;
-        bytes += vec_bytes(members);
-      }
-    }
-    bytes += vec_bytes(delta_scratch);
-    for (const auto& d : delta_scratch) bytes += vec_bytes(d);
+    bytes += vec_bytes(stage_one.pages) + vec_bytes(stage_one.counts) +
+             vec_bytes(stage_one.empty_pages) + vec_bytes(stage_one.dest) +
+             vec_bytes(stage_one.in_place) + vec_bytes(stage_one.spills);
+    for (const auto& c : stage_one.counts) bytes += vec_bytes(c);
+    for (const auto& e : stage_one.empty_pages) bytes += vec_bytes(e);
+    for (const auto& spill : stage_one.spills) bytes += vec_bytes(spill.second);
     bytes += vec_bytes(touched_slots) + vec_bytes(candidates) +
-             vec_bytes(all_deltas) + vec_bytes(spilled);
+             vec_bytes(all_deltas);
     return bytes;
   }
 };
@@ -928,7 +917,7 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
     // erasure. node_home is written directly as moves resolve, so it
     // doubles as the within-batch home map for the swap resolve below and,
     // once the resolve ends, holds every node's final home: stage 1 needs
-    // only each touched slot's arrivals and net count besides. Also
+    // only the touched slots and their net counts besides. Also
     // collects the restructuring candidates in first-touch order (swaps
     // are size-neutral, so only op targets can cross a threshold).
     obs::ScopedSpan resolve_span(obs::Cat::kStep, "step.resolve",
@@ -940,13 +929,8 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
     const auto touch = [&](std::size_t slot) {
       if (bs.touch_epoch_of_slot[slot] == bs.slot_epoch) return;
       bs.touch_epoch_of_slot[slot] = bs.slot_epoch;
-      bs.arrivals_by_slot[slot].clear();
       bs.net_of_slot[slot] = 0;
       touched_slots.push_back(slot);
-    };
-    const auto arrive = [&](std::size_t slot, NodeId n) {
-      touch(slot);
-      bs.arrivals_by_slot[slot].push_back(n);
     };
     for (std::size_t i = 0; i < total_ops; ++i) {
       if (i + 1 < total_ops) state_.prefetch_home(bs.op_node[i + 1]);
@@ -959,12 +943,11 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
         bs.candidate_epoch_of_slot[slot] = bs.slot_epoch;
         candidates.push_back(bs.op_target[i]);
       }
+      touch(slot);
       if (bs.op_is_join[i] != 0) {
-        arrive(slot, bs.op_node[i]);
         ++bs.net_of_slot[slot];
         state_.commit_home(bs.op_node[i], bs.op_target[i]);
       } else {
-        touch(slot);
         --bs.net_of_slot[slot];
         state_.byzantine.erase(bs.op_node[i]);
         state_.unregister_node(bs.op_node[i]);
@@ -979,7 +962,7 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
     // left or both now share a cluster; otherwise x and y trade their
     // current homes. The committed state is therefore a pure function of
     // the canonical plan, independent of the shard count. A swap adds one
-    // node and removes one at each end, so it records the two arrivals and
+    // node and removes one at each end, so it touches both slots and
     // leaves both net counts as they are.
     const auto cluster_of_slot = [&cache](std::uint32_t slot) {
       return cache.id_by_index[cache.index_by_slot[slot]];
@@ -1004,8 +987,8 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
             x_slot = state_.slot_index(x_home);
             y_slot = state_.slot_index(y_home);
           }
-          arrive(y_slot, swap.x);
-          arrive(x_slot, swap.y);
+          touch(y_slot);
+          touch(x_slot);
           state_.commit_home(swap.x, y_home);
           state_.commit_home(swap.y, x_home);
         }
@@ -1016,72 +999,49 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
     obs::ScopedSpan stage1_span(obs::Cat::kStep, "step.stage1",
                                 &combined.stage1_ns, batch_id);
 
-    // Stage 1 (parallel): slots are partitioned into CONTIGUOUS blocks
-    // (one per shard); each worker rebuilds its block's touched clusters
-    // from node_home, which nothing writes until the next batch's resolve.
-    // Cluster size changes are accumulated per shard, not written to the
-    // Fenwick mirror. Block (not mod-K) ownership keeps each worker's
-    // stores in disjoint cache-line ranges of the slot table.
-    const std::size_t slot_block = (slot_count + shards - 1) / shards;
-    if (bs.edit_workspaces.size() < shards) {
-      bs.edit_workspaces.resize(shards);
-    }
-    if (bs.delta_scratch.size() < shards) bs.delta_scratch.resize(shards);
-    for (std::size_t s = 0; s < shards; ++s) bs.delta_scratch[s].clear();
-    pool.parallel_for(shards, [&](std::size_t s) {
-      for (const std::size_t slot : touched_slots) {
-        if (slot / slot_block != s) continue;
-        const std::int64_t net = bs.net_of_slot[slot];
-        state_.rebuild_members(slot, bs.arrivals_by_slot[slot], net,
-                               bs.edit_workspaces[s]);
-        if (net != 0) bs.delta_scratch[s].emplace_back(slot, net);
-      }
-    });
+    // Stage 1: one shard-parallel counting sort of node_home in NodeId
+    // order (NowState::rebuild_memberships) writes every touched cluster's
+    // new membership into its extent, or into a spill buffer when it
+    // outgrew the extent's cap. node_home is read-only during its two
+    // passes; it releases the node_home pages its scan found empty before
+    // it returns.
+    const NowState::StageOneStats stage_one = state_.rebuild_memberships(
+        touched_slots, bs.net_of_slot, pool, shards, bs.stage_one);
+    combined.stage1_scanned = stage_one.scanned;
+    combined.home_pages_released = stage_one.pages_released;
     stage1_span.stop();
     obs::ScopedSpan stage2_span(obs::Cat::kStep, "step.stage2",
                                 &combined.stage2_ns, batch_id);
 
-    // Stage 2 (sequential), part 0: re-home the slots whose merged
+    // Stage 2 (sequential), part 0: re-home the slots whose rebuilt
     // membership outgrew their slab extent. The spill set is
     // shard-independent (canonical rebuilt sizes against deterministic
-    // extent caps), so committing in ascending slot order makes the tail
-    // allocation sequence — and the slab layout — canonical. Must precede
-    // apply_size_deltas, whose debug contract checks final extent sizes.
-    {
-      bs.spilled.clear();
-      for (std::size_t s = 0; s < shards; ++s) {
-        for (const auto& [slot, members] : bs.edit_workspaces[s].spills) {
-          bs.spilled.emplace_back(slot, &members);
-        }
-      }
-      std::sort(bs.spilled.begin(), bs.spilled.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      combined.stage2_spills = bs.spilled.size();
-      for (const auto& [slot, members] : bs.spilled) {
-        state_.commit_spilled_members(slot, *members);
-      }
-      for (std::size_t s = 0; s < shards; ++s) {
-        bs.edit_workspaces[s].spills.clear();
-      }
+    // extent caps), and rebuild_memberships lists it in ascending slot
+    // order, so the tail allocation sequence — and the slab layout — is
+    // canonical. Must precede apply_size_deltas, whose debug contract
+    // checks final extent sizes.
+    combined.stage2_spills = bs.stage_one.spills.size();
+    for (const auto& [slot, members] : bs.stage_one.spills) {
+      state_.commit_spilled_members(slot, members);
     }
+    bs.stage_one.spills.clear();
 
-    // Stage 2 (sequential): merge the per-shard size deltas into the
+    // Stage 2 (sequential): merge the touched slots' size deltas into the
     // Fenwick mirror in one O(k)-bounded pass, reconcile the placed-node
     // count, then run the deferred splits/merges on every cluster whose
     // size changed, in first-touch order.
     std::vector<std::pair<std::size_t, std::int64_t>>& all_deltas =
         bs.all_deltas;
     all_deltas.clear();
-    for (std::size_t s = 0; s < shards; ++s) {
-      all_deltas.insert(all_deltas.end(), bs.delta_scratch[s].begin(),
-                        bs.delta_scratch[s].end());
+    for (const std::size_t slot : touched_slots) {
+      if (bs.net_of_slot[slot] != 0) {
+        all_deltas.emplace_back(slot, bs.net_of_slot[slot]);
+      }
     }
-    // Canonical (ascending-slot) order: the concatenation above depends on
-    // the shard count's slot-block partition, and while the Fenwick adds
-    // commute, the PlanCache's alias dirty overlay records these slots in
-    // a LIST whose order is observable through draw_biased's dirty-branch
-    // linear scan — an order that must therefore be shard-count
-    // independent. Slots are unique per batch (one owner each).
+    // Ascending-slot order: while the Fenwick adds commute, the
+    // PlanCache's alias dirty overlay records these slots in a LIST whose
+    // order is observable through draw_biased's dirty-branch linear scan,
+    // so this order is part of every pinned trajectory. Slots are unique.
     std::sort(all_deltas.begin(), all_deltas.end());
     const bool pooled = pool.worker_count() > 0 && shards > 1;
     state_.apply_size_deltas(all_deltas, pooled ? &pool : nullptr, shards);
@@ -1101,7 +1061,7 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
       }
     }
     // Batch-boundary compaction opportunity: a batch of pure in-place
-    // try_assigns never touches a sequential slab mutator, so the dead
+    // stage-1 rebuilds never touches a sequential slab mutator, so the dead
     // space left by earlier relocations is bounded here. The trigger is a
     // pure function of (tail, live) — both shard-independent — so the
     // compaction schedule is canonical.
@@ -1128,7 +1088,7 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
   commit_span.stop();
 
   // No per-batch scratch reset: the slot arrays (wave_of_slot,
-  // leavers_by_slot, candidate marks, arrival lists and net counts) are
+  // leavers_by_slot, candidate marks, touch marks and net counts) are
   // epoch-stamped, so the next batch's ++slot_epoch makes this batch's
   // content invisible for free.
 
@@ -1138,9 +1098,15 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
   static const obs::MetricId conflicts_id = obs::counter_id("step.conflicts");
   static const obs::MetricId spills_id = obs::counter_id("step.stage2_spills");
   static const obs::MetricId waves_id = obs::counter_id("step.waves");
+  static const obs::MetricId scanned_id =
+      obs::counter_id("step.stage1_scanned");
+  static const obs::MetricId released_id =
+      obs::counter_id("step.home_pages_released");
   obs::counter_add(conflicts_id, combined.conflicts);
   obs::counter_add(spills_id, combined.stage2_spills);
   obs::counter_add(waves_id, combined.wave_count);
+  obs::counter_add(scanned_id, combined.stage1_scanned);
+  obs::counter_add(released_id, combined.home_pages_released);
 #endif
 
   combined.cost = scope.cost();

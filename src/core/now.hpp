@@ -82,11 +82,19 @@ struct OpReport {
   /// planning).
   Cost commit_cost;
   /// Sharded batches only: slots whose stage-1 rebuilt membership outgrew
-  /// their slab extent and were re-homed by the sequential stage-2 commit
-  /// (MemberSlab::try_assign returned false). Shard-independent — the
-  /// spill set depends only on the rebuilt sizes and the extent caps. The coverage-guided corpus (sim/corpus.hpp) treats "a spill
-  /// happened" as an observed-behavior bit.
+  /// their slab extent's cap and were re-homed by the sequential stage-2
+  /// commit. Shard-independent — the spill set depends only on the rebuilt
+  /// sizes and the extent caps. The coverage-guided corpus
+  /// (sim/corpus.hpp) treats "a spill happened" as an observed-behavior
+  /// bit.
   std::size_t stage2_spills = 0;
+  /// Sharded batches only: node_home entries stage 1's counting sort
+  /// visited (every entry of every allocated page; each pass reads it, it
+  /// counts once) — bounded by the pages that hold a placed node, since empty
+  /// pages are released after each scan.
+  std::size_t stage1_scanned = 0;
+  /// Sharded batches only: node_home pages stage 1 found empty and freed.
+  std::size_t home_pages_released = 0;
   /// Sharded batches only: exchange waves the wave scheduler ran this step
   /// (primary waves on clusters touched by an operation, plus the deduped
   /// secondary waves on their leave-wave partners). Each touched cluster
@@ -198,10 +206,10 @@ class NowSystem {
   /// persistent PlanCache (core/plan_cache.hpp), maintained incrementally
   /// across batches. Commit resolves every planned move sequentially in
   /// canonical order, each swap at its endpoints' current homes, writing
-  /// node_home as it goes. Stage 1 then rebuilds each touched cluster's
-  /// membership from node_home shard-parallel against contiguous slot
-  /// blocks, and stage 2 merges the per-shard size deltas
-  /// into the Fenwick mirror and runs the deferred splits/merges
+  /// node_home as it goes. Stage 1 then rebuilds every touched cluster's
+  /// membership from node_home with one counting sort in NodeId order,
+  /// shard-parallel over contiguous page ranges, and stage 2 merges the
+  /// size deltas into the Fenwick mirror and runs the deferred splits/merges
   /// sequentially. Because plans depend only on the snapshot and
   /// per-op/per-wave streams, the wave list is canonical, and the resolve
   /// runs in that canonical order, the resulting state is IDENTICAL for every

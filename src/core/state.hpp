@@ -16,8 +16,8 @@
 //     uniform sampling;
 //   * member lists — ONE flat NodeId pool (cluster/member_slab.hpp) carved
 //     into per-slot extents with amortized headroom; each Cluster is a thin
-//     view over its extent, so stage-1 membership-rebuild workers stream
-//     sequential memory instead of chasing k separate vectors. The slab
+//     view over its extent, so stage-1 membership-rebuild workers scatter
+//     into one pool instead of k separate vectors. The slab
 //     lives behind a unique_ptr so the Cluster views' slab pointer survives
 //     NowState moves;
 //   * cluster sizes — mirrored in a Fenwick tree over slots, making the
@@ -31,17 +31,17 @@
 //   * corrupt_home_for_test, for invariant tests that need to break the
 //     bookkeeping on purpose;
 //   * the parallel-commit primitives (commit_home / clear_home /
-//     rebuild_members / commit_spilled_members / apply_size_deltas /
+//     rebuild_memberships / commit_spilled_members / apply_size_deltas /
 //     adjust_placed_count), the resolve/stage-1/stage-2 split of the
 //     sharded batch commit (DESIGN.md §7): the sequential resolve writes
-//     every node's final home into node_home, stage 1 rebuilds each
-//     touched slot's member extent from node_home shard-parallel against
-//     disjoint slots (node_home is read-only for the whole of stage 1),
-//     slots whose rebuilt membership outgrew their extent are spilled to a
-//     sequential stage-2 commit, and the Fenwick mirror and the placed-node
-//     count are reconciled afterwards in one sequential merge. Their
-//     contracts spell out exactly which shared structure each one may
-//     touch.
+//     every node's final home into node_home, stage 1 rebuilds every
+//     touched slot's member extent from node_home with one shard-parallel
+//     counting sort in NodeId order (node_home is read-only during it; the
+//     pages it found empty are released after it), slots whose rebuilt
+//     membership outgrew their extent are spilled to a sequential stage-2
+//     commit, and the Fenwick mirror and the placed-node count are
+//     reconciled afterwards in one sequential merge. Their contracts spell
+//     out exactly which shared structure each one may touch.
 #pragma once
 
 #include <algorithm>
@@ -71,9 +71,10 @@ class SnapshotReader;
 class SnapshotWriter;
 
 /// Stage 1 found a cluster whose membership rebuilt from node_home does not
-/// have the size the resolve recorded for it: node_home and the resolve's
-/// per-slot arrival/net bookkeeping disagree (a resolve bug, or a home
-/// forged by corrupt_home_for_test). Thrown before the extent is written.
+/// have the size the resolve recorded for it, or a home naming no live
+/// cluster: node_home and the resolve's per-slot net counts disagree (a
+/// resolve bug, or a home forged by corrupt_home_for_test). Thrown before
+/// any extent is written.
 class MembershipMismatch : public std::logic_error {
  public:
   using std::logic_error::logic_error;
@@ -229,87 +230,169 @@ class NowState {
   // The sharded batch commit resolves membership moves sequentially in
   // canonical order (commit_home / clear_home keep node_home current as it
   // goes), so when the resolve ends node_home holds every node's final
-  // home — the one record of where each node ends up. Stage 1 then
-  // partitions the touched cluster slots into contiguous blocks and lets
-  // each shard rebuild its clusters' memberships from node_home
-  // concurrently (rebuild_members) — writing each slot's new membership in
-  // place into its slab extent, or spilling the slot when it outgrew the
-  // extent's cap (the spill set depends only on the rebuilt sizes and
-  // extent caps, so it is shard-independent). node_home is read-only for
-  // the whole of stage 1. These primitives deliberately do NOT maintain
-  // the Fenwick size mirror or the placed-node count — each shard
-  // accumulates signed size deltas privately and stage 2 first re-homes
-  // the spilled slots (commit_spilled_members, ascending slot order), then
-  // folds the deltas back in sequentially. Between the resolve pass and
-  // the matching apply_size_deltas/adjust_placed_count calls, the
-  // size-dependent samplers (random_cluster_size_biased, num_nodes) and
-  // the member extents are out of sync with node_home and must not be
-  // consulted.
+  // home — the one record of where each node ends up. Stage 1
+  // (rebuild_memberships) then derives every touched cluster's membership
+  // from node_home with one shard-parallel counting sort in NodeId order,
+  // writing each slot's new members in place into its slab extent, or into
+  // a spill buffer when they outgrew the extent's cap (the spill set
+  // depends only on the rebuilt sizes and extent caps, so it is
+  // shard-independent). node_home is read-only for the whole of stage 1;
+  // the pages its scan found empty are released right after, sequentially.
+  // These primitives deliberately do NOT maintain the Fenwick size mirror
+  // or the placed-node count — stage 2 first re-homes the spilled slots
+  // (commit_spilled_members, ascending slot order), then folds the size
+  // deltas back in sequentially. Between the resolve pass and the matching
+  // apply_size_deltas/adjust_placed_count calls, the size-dependent
+  // samplers (random_cluster_size_biased, num_nodes) and the member extents
+  // are out of sync with node_home and must not be consulted.
 
-  /// Reusable buffers of one stage-1 worker (capacities persist across
-  /// rebuild_members calls; contents are ignored on entry). `spills`
-  /// collects the slots whose rebuilt membership did not fit their extent
-  /// — the caller commits them sequentially in stage 2 and clears the list.
-  struct EditScratch {
-    std::vector<NodeId> arrivals;
-    std::vector<NodeId> merge;
+  /// Reusable buffers of stage 1 (capacities persist across
+  /// rebuild_memberships calls; contents are ignored on entry). `spills`
+  /// is the output: the slots whose rebuilt membership did not fit their
+  /// extent, in ascending slot order, with their sorted members — the
+  /// caller commits them sequentially in stage 2 and clears the list.
+  struct StageOneScratch {
+    /// Allocated node_home pages, ascending; worker w scans the w-th
+    /// contiguous share of them.
+    std::vector<std::size_t> pages;
+    /// Per worker, by slot: pass-1 counts of the ids homed at the slot,
+    /// turned into the worker's write offsets for pass 2.
+    std::vector<std::vector<std::uint32_t>> counts;
+    /// Per worker: scanned pages that held no placed node.
+    std::vector<std::vector<std::size_t>> empty_pages;
+    /// By slot: where pass 2 writes the slot's members (extent or spill
+    /// buffer); null for a slot that is not rebuilt.
+    std::vector<NodeId*> dest;
+    /// (slot, new size) of the slots rebuilt in place.
+    std::vector<std::pair<std::size_t, std::size_t>> in_place;
     std::vector<std::pair<std::size_t, std::vector<NodeId>>> spills;
   };
 
-  /// Stage 1: rebuilds the membership of the cluster in `slot` from
-  /// node_home. The new members are the old members whose home is still
-  /// this cluster plus the `arrivals` (every node the resolve moved here,
-  /// in any order, repeats allowed) whose home ended here; a node that
-  /// moved away and came back is both and counts once. Only the filtered
-  /// arrivals are sorted, then merged into the already-sorted survivors —
-  /// the same sorted set of net members the edits would produce, so the
-  /// extent bytes do not depend on the move order. `net` is the resolve's
-  /// signed size change for the slot (+1 per add, -1 per removal); the
-  /// rebuilt size is checked against it BEFORE any write, and a mismatch throws MembershipMismatch with the extent
-  /// untouched. The result is written in place (MemberSlab::try_assign)
-  /// or, when it outgrew the extent's cap, parked on scratch.spills for
-  /// the sequential stage-2 commit. Reads node_home and writes only this
-  /// slot's extent, so distinct slots may run concurrently with per-worker
-  /// scratch while nothing writes node_home. The Fenwick mirror and
-  /// placed_count are intentionally left stale (see above).
-  void rebuild_members(std::size_t slot, std::span<const NodeId> arrivals,
-                       std::int64_t net, EditScratch& scratch) {
-    assert(slot < slots_.size() && slots_[slot].has_value());
-    const ClusterId self = slots_[slot]->id();
-    std::vector<NodeId>& arrived = scratch.arrivals;
-    arrived.clear();
-    for (const NodeId node : arrivals) {
-      if (home_of(node) == self) arrived.push_back(node);
+  /// What one rebuild_memberships call scanned and freed.
+  struct StageOneStats {
+    std::size_t scanned = 0;         // node_home entries visited
+    std::size_t pages_released = 0;  // empty node_home pages freed
+  };
+
+  /// Stage 1: rebuilds the membership of every slot in `touched_slots`
+  /// (distinct, live) from node_home. `net_of_slot[slot]` is the resolve's
+  /// signed size change for each touched slot (+1 per add, -1 per
+  /// removal). Runs on `workers` tasks of `pool`, each owning a contiguous,
+  /// page-aligned share of the allocated node_home pages:
+  ///   1. (parallel) count, per slot, the ids homed there;
+  ///   2. (sequential) per touched slot, check count - old size == net —
+  ///      a mismatch throws MembershipMismatch before any write — turn the
+  ///      per-worker counts into write offsets in worker order, and pick
+  ///      the destination: the extent in place when the new size fits its
+  ///      cap, else a spill buffer on scratch.spills;
+  ///   3. (parallel) scatter each touched slot's ids to their offsets.
+  /// Ids are scanned in ascending order, so every run is sorted by
+  /// construction: the same bytes a per-cluster sort would produce. The
+  /// in-place sizes are then committed, and the node_home pages the scan
+  /// found empty are released (ids are never reused, so such a page stays
+  /// empty until a set() re-allocates it) — the scan visits only pages
+  /// that hold a placed node, not every id ever allocated. The Fenwick
+  /// mirror and placed_count are intentionally left stale (see above).
+  StageOneStats rebuild_memberships(std::span<const std::size_t> touched_slots,
+                                    std::span<const std::int64_t> net_of_slot,
+                                    ThreadPool& pool, std::size_t workers,
+                                    StageOneScratch& scratch) {
+    constexpr std::size_t kPageSize = PagedIndex<ClusterId>::kPageSize;
+    assert(workers > 0);
+    StageOneStats stats;
+    if (touched_slots.empty()) return stats;
+    scratch.pages.clear();
+    for (std::size_t p = 0; p < node_home_.page_count(); ++p) {
+      if (node_home_.page(p) != nullptr) scratch.pages.push_back(p);
     }
-    std::sort(arrived.begin(), arrived.end());
-    arrived.erase(std::unique(arrived.begin(), arrived.end()), arrived.end());
-    const std::span<const NodeId> old = slab_->members(slot);
-    std::vector<NodeId>& merged = scratch.merge;
-    merged.clear();
-    std::size_t a = 0;
-    for (const NodeId member : old) {
-      if (home_of(member) != self) continue;
-      while (a < arrived.size() && arrived[a] < member) {
-        merged.push_back(arrived[a++]);
+    stats.scanned = scratch.pages.size() * kPageSize;
+    scratch.counts.resize(std::max(scratch.counts.size(), workers));
+    scratch.empty_pages.resize(std::max(scratch.empty_pages.size(), workers));
+    const std::size_t slot_count = slots_.size();
+    // Calls fn(slot, id) for every placed id of worker w's pages, in id
+    // order; records the pages holding none on `empties` when non-null.
+    const auto scan = [&](std::size_t w, std::vector<std::size_t>* empties,
+                          auto&& fn) {
+      const std::size_t begin = w * scratch.pages.size() / workers;
+      const std::size_t end = (w + 1) * scratch.pages.size() / workers;
+      for (std::size_t i = begin; i < end; ++i) {
+        const std::size_t p = scratch.pages[i];
+        const ClusterId* homes = node_home_.page(p);
+        const NodeId::value_type base = p * kPageSize;
+        bool placed = false;
+        for (std::size_t k = 0; k < kPageSize; ++k) {
+          if (!homes[k].valid()) continue;
+          placed = true;
+          const std::uint32_t slot = cluster_slot_.get(homes[k].value());
+          if (slot == kNoSlot) {
+            throw MembershipMismatch(
+                "stage 1: node " + std::to_string(base + k) +
+                " is homed at cluster " + std::to_string(homes[k].value()) +
+                ", which does not exist");
+          }
+          fn(slot, NodeId{base + k});
+        }
+        if (!placed && empties != nullptr) empties->push_back(p);
       }
-      if (a < arrived.size() && arrived[a] == member) ++a;  // came back
-      merged.push_back(member);
+    };
+
+    pool.parallel_for(workers, [&](std::size_t w) {
+      std::vector<std::uint32_t>& count = scratch.counts[w];
+      count.assign(slot_count, 0);
+      scratch.empty_pages[w].clear();
+      scan(w, &scratch.empty_pages[w],
+           [&count](std::uint32_t slot, NodeId) { ++count[slot]; });
+    });
+
+    scratch.dest.assign(slot_count, nullptr);
+    scratch.in_place.clear();
+    scratch.spills.clear();
+    for (const std::size_t slot : touched_slots) {
+      assert(slot < slot_count && slots_[slot].has_value());
+      std::uint32_t total = 0;
+      for (std::size_t w = 0; w < workers; ++w) {
+        const std::uint32_t c = scratch.counts[w][slot];
+        scratch.counts[w][slot] = total;
+        total += c;
+      }
+      const std::size_t old = slab_->size(slot);
+      if (static_cast<std::int64_t>(total) - static_cast<std::int64_t>(old) !=
+          net_of_slot[slot]) {
+        throw MembershipMismatch(
+            "stage 1: slot " + std::to_string(slot) + " rebuilt to " +
+            std::to_string(total) + " members from " + std::to_string(old) +
+            ", but the resolve recorded net " +
+            std::to_string(net_of_slot[slot]));
+      }
+      if (total <= slab_->extent(slot).cap) {
+        scratch.dest[slot] = slab_->extent_data(slot);
+        scratch.in_place.emplace_back(slot, total);
+      } else {
+        scratch.spills.emplace_back(slot, std::vector<NodeId>(total));
+        scratch.dest[slot] = scratch.spills.back().second.data();
+      }
     }
-    merged.insert(merged.end(),
-                  arrived.begin() + static_cast<std::ptrdiff_t>(a),
-                  arrived.end());
-    if (static_cast<std::int64_t>(merged.size()) -
-            static_cast<std::int64_t>(old.size()) !=
-        net) {
-      throw MembershipMismatch(
-          "stage 1: slot " + std::to_string(slot) + " rebuilt to " +
-          std::to_string(merged.size()) + " members from " +
-          std::to_string(old.size()) + ", but the resolve recorded net " +
-          std::to_string(net));
+
+    pool.parallel_for(workers, [&](std::size_t w) {
+      std::uint32_t* cursor = scratch.counts[w].data();
+      NodeId* const* dest = scratch.dest.data();
+      scan(w, nullptr, [cursor, dest](std::uint32_t slot, NodeId node) {
+        if (dest[slot] != nullptr) dest[slot][cursor[slot]++] = node;
+      });
+    });
+
+    for (const auto& [slot, size] : scratch.in_place) {
+      slab_->set_member_count(slot, size);
     }
-    if (!slab_->try_assign(slot, merged)) {
-      scratch.spills.emplace_back(slot, merged);
+    std::sort(scratch.spills.begin(), scratch.spills.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (std::size_t w = 0; w < workers; ++w) {
+      for (const std::size_t p : scratch.empty_pages[w]) {
+        node_home_.release_page(p);
+        ++stats.pages_released;
+      }
     }
+    return stats;
   }
 
   /// Stage 2 (sequential): re-homes a stage-1 spilled slot into a fresh

@@ -1,7 +1,8 @@
 // Tests for the flat extent-based membership arena (cluster/member_slab.hpp,
-// DESIGN.md §9): the extent/cap policy, the parallel-safe try_assign + spill
-// protocol, the commit's stage 1 (each touched cluster rebuilt from
-// node_home, checked against a std::set model across shard counts),
+// DESIGN.md §9): the extent/cap policy, the in-place stage-1 write window +
+// spill protocol, the commit's stage 1 (every touched cluster rebuilt from
+// node_home by one counting sort, checked against a std::set model across
+// worker counts; empty node_home pages released),
 // compaction (trigger, packing, and — the tentpole contract — its
 // UNOBSERVABILITY to everything RNG-visible), slab-geometry bit-identity
 // across shard counts, and snapshot round-trips of a
@@ -151,31 +152,26 @@ TEST(MemberSlabTest, CapPolicyGrantsHeadroomAndRelocationMovesToTail) {
   EXPECT_TRUE(std::is_sorted(members.begin(), members.end()));
 }
 
-TEST(MemberSlabTest, TryAssignFailsBeyondCapAndNeverMoves) {
+TEST(MemberSlabTest, InPlaceWriteFillsTheExtentAndNeverMoves) {
   cluster::MemberSlab slab;
   slab.acquire_slot(0);
   for (std::uint64_t v = 0; v < 4; ++v) slab.insert_sorted(0, NodeId{v});
   const auto extent_before = slab.extent(0);
   const std::uint64_t tail_before = slab.tail();
 
-  // Within cap: succeeds in place.
-  std::vector<NodeId> fits;
-  for (std::uint64_t v = 100; v < 100 + extent_before.cap; ++v) {
-    fits.emplace_back(v);
+  // The stage-1 write window is the whole cap; filling it and committing
+  // the count neither moves the extent nor grows the tail.
+  NodeId* window = slab.extent_data(0);
+  for (std::uint64_t i = 0; i < extent_before.cap; ++i) {
+    window[i] = NodeId{100 + i};
   }
-  ASSERT_TRUE(slab.try_assign(0, fits));
+  slab.set_member_count(0, extent_before.cap);
   EXPECT_EQ(slab.extent(0).first, extent_before.first);
   EXPECT_EQ(slab.extent(0).cap, extent_before.cap);
   EXPECT_EQ(slab.tail(), tail_before);
-  EXPECT_EQ(slab.packed(), cluster::MemberSlab::cap_for(fits.size()));
-
-  // Beyond cap: refused, nothing changes.
-  std::vector<NodeId> overflow = fits;
-  overflow.emplace_back(999u);
-  ASSERT_FALSE(slab.try_assign(0, overflow));
-  EXPECT_EQ(slab.extent(0).first, extent_before.first);
-  EXPECT_EQ(slab.size(0), fits.size());
-  EXPECT_EQ(slab.tail(), tail_before);
+  EXPECT_EQ(slab.size(0), extent_before.cap);
+  EXPECT_EQ(slab.members(0).front(), NodeId{100});
+  EXPECT_EQ(slab.packed(), cluster::MemberSlab::cap_for(extent_before.cap));
 }
 
 TEST(MemberSlabTest, CompactionPacksAscendingSlotsAndResetsEmpties) {
@@ -274,6 +270,19 @@ TEST(MemberSlabTest, ShrunkSlotGetsItsDeadSpaceBack) {
 
 // ---------------------------------------------------------- spill protocol
 
+/// Runs stage 1 over `touched` (net counts by slot) on `workers` tasks.
+NowState::StageOneStats rebuild(
+    NowState& state, std::initializer_list<std::size_t> touched,
+    std::initializer_list<std::pair<std::size_t, std::int64_t>> nets,
+    NowState::StageOneScratch& scratch, std::size_t workers = 1) {
+  std::vector<std::int64_t> net_of_slot(state.slot_count(), 0);
+  for (const auto& [slot, net] : nets) net_of_slot[slot] = net;
+  ThreadPool pool{workers - 1};
+  const std::vector<std::size_t> slots(touched);
+  return state.rebuild_memberships(slots, net_of_slot, pool, workers,
+                                   scratch);
+}
+
 TEST(MemberSlabTest, OversizedMergeSpillsToSequentialCommit) {
   NowState state{small_over()};
   const ClusterId c = state.create_cluster();
@@ -287,9 +296,8 @@ TEST(MemberSlabTest, OversizedMergeSpillsToSequentialCommit) {
   const std::uint64_t cap = state.member_slab().extent(slot).cap;
 
   // A join burst larger than the extent's headroom, resolved the way the
-  // batch commit does it (homes written, arrivals and net count recorded):
-  // try_assign must refuse and stage 1 park the slot on the spill list
-  // instead of relocating.
+  // batch commit does it (homes written, net count recorded): stage 1
+  // must hand the slot back as a spill instead of relocating it.
   std::vector<NodeId> arrivals;
   for (std::uint64_t i = 0; i <= cap; ++i) {
     const NodeId node{1000 + i};
@@ -297,10 +305,11 @@ TEST(MemberSlabTest, OversizedMergeSpillsToSequentialCommit) {
     arrivals.push_back(node);
   }
   const auto delta = static_cast<std::int64_t>(arrivals.size());
-  NowState::EditScratch scratch;
-  state.rebuild_members(slot, arrivals, delta, scratch);
+  NowState::StageOneScratch scratch;
+  rebuild(state, {slot}, {{slot, delta}}, scratch);
   ASSERT_EQ(scratch.spills.size(), 1u);
   EXPECT_EQ(scratch.spills[0].first, slot);
+  EXPECT_EQ(scratch.spills[0].second.size(), 4u + arrivals.size());
   // The extent is untouched until the sequential commit lands the spill.
   EXPECT_EQ(state.cluster_at(c).size(), 4u);
 
@@ -346,29 +355,21 @@ std::vector<NodeId> members_of(const NowState& state, ClusterId c) {
 
 TEST(StageOneTest, NodeThatLeavesAndComesBackIsKeptOnce) {
   // C = {0, 1, 2}, P = {3, 4, 5}. Within one batch node 0 swaps C -> P
-  // with node 3, then swaps back P -> C with node 3 again: node 0 is both
-  // an old member of C whose home is C and an arrival at C, and must end
-  // up in C exactly once.
+  // with node 3, then swaps back P -> C with node 3 again: both clusters
+  // are touched with net 0, and node 0 must end up in C exactly once.
   NowState state{small_over()};
   const auto ids = make_clusters(state, {3, 3});
   const ClusterId c = ids[0];
   const ClusterId p = ids[1];
   const NodeId x{0};
   const NodeId y{3};
-  std::vector<NodeId> arrivals_c;
-  std::vector<NodeId> arrivals_p;
   state.commit_home(x, p);
   state.commit_home(y, c);
-  arrivals_p.push_back(x);
-  arrivals_c.push_back(y);
   state.commit_home(x, c);
   state.commit_home(y, p);
-  arrivals_c.push_back(x);
-  arrivals_p.push_back(y);
 
-  NowState::EditScratch scratch;
-  state.rebuild_members(state.slot_index(c), arrivals_c, 0, scratch);
-  state.rebuild_members(state.slot_index(p), arrivals_p, 0, scratch);
+  NowState::StageOneScratch scratch;
+  rebuild(state, {state.slot_index(c), state.slot_index(p)}, {}, scratch);
   EXPECT_TRUE(scratch.spills.empty());
   EXPECT_EQ(members_of(state, c),
             (std::vector<NodeId>{NodeId{0}, NodeId{1}, NodeId{2}}));
@@ -388,8 +389,8 @@ TEST(StageOneTest, SlotThatOnlyLosesMembersShrinks) {
     state.clear_home(leaver);
     state.unregister_node(leaver);
   }
-  NowState::EditScratch scratch;
-  state.rebuild_members(slot, {}, -2, scratch);
+  NowState::StageOneScratch scratch;
+  rebuild(state, {slot}, {{slot, -2}}, scratch);
   EXPECT_TRUE(scratch.spills.empty());
   EXPECT_EQ(members_of(state, c), (std::vector<NodeId>{NodeId{0}, NodeId{2},
                                                        NodeId{3}, NodeId{5}}));
@@ -399,59 +400,126 @@ TEST(StageOneTest, SlotThatOnlyLosesMembersShrinks) {
 }
 
 TEST(StageOneTest, ForgedHomeThrowsBeforeAnyWrite) {
-  // A home forged to point elsewhere makes the rebuilt membership one short
-  // of what the (empty) resolve recorded: stage 1 must throw the typed
-  // error and leave the extent bytes as they were.
+  // Homes forged behind the resolve's back: stage 1 must throw the typed
+  // error and leave every extent and the slab's packed size as they were.
   NowState state{small_over()};
   const auto ids = make_clusters(state, {5, 5});
   const ClusterId c = ids[0];
   const std::size_t slot = state.slot_index(c);
-  const std::vector<NodeId> before = members_of(state, c);
+  const std::size_t other = state.slot_index(ids[1]);
+  const std::vector<NodeId> before_c = members_of(state, c);
+  const std::vector<NodeId> before_other = members_of(state, ids[1]);
   const auto extent_before = state.member_slab().extent(slot);
   const std::uint64_t packed_before = state.member_slab().packed();
-  state.corrupt_home_for_test(NodeId{2}, ids[1]);
+  const auto expect_untouched = [&] {
+    EXPECT_EQ(members_of(state, c), before_c);
+    EXPECT_EQ(members_of(state, ids[1]), before_other);
+    EXPECT_EQ(state.member_slab().extent(slot).size, extent_before.size);
+    EXPECT_EQ(state.member_slab().extent(slot).first, extent_before.first);
+    EXPECT_EQ(state.member_slab().packed(), packed_before);
+  };
 
-  NowState::EditScratch scratch;
-  EXPECT_THROW(state.rebuild_members(slot, {}, 0, scratch),
+  // Node 2 moved to the other cluster with no net count recorded: C
+  // rebuilds one short of what the (empty) resolve recorded. Inline, and
+  // on two workers once a second node_home page exists (a node there
+  // forged into C evens C out, so the other cluster is the one that
+  // mismatches).
+  state.corrupt_home_for_test(NodeId{2}, ids[1]);
+  NowState::StageOneScratch scratch;
+  EXPECT_THROW(rebuild(state, {slot, other}, {}, scratch),
                MembershipMismatch);
-  EXPECT_EQ(members_of(state, c), before);
-  EXPECT_EQ(state.member_slab().extent(slot).size, extent_before.size);
-  EXPECT_EQ(state.member_slab().extent(slot).first, extent_before.first);
-  EXPECT_EQ(state.member_slab().packed(), packed_before);
+  expect_untouched();
+  const NodeId far{3 * PagedIndex<ClusterId>::kPageSize};
+  state.corrupt_home_for_test(far, c);  // a second node_home page
+  EXPECT_THROW(rebuild(state, {slot, other}, {}, scratch, 2),
+               MembershipMismatch);
+  expect_untouched();
+
+  // A home naming no live cluster is caught by the counting pass itself,
+  // inside a ThreadPool worker task (the second page's owner), and reaches
+  // the calling thread as the same typed error.
+  state.corrupt_home_for_test(NodeId{2}, c);
+  state.corrupt_home_for_test(far, ClusterId{999});
+  EXPECT_THROW(rebuild(state, {slot}, {}, scratch, 2), MembershipMismatch);
+  EXPECT_THROW(rebuild(state, {slot}, {}, scratch), MembershipMismatch);
+  expect_untouched();
   EXPECT_TRUE(scratch.spills.empty());
 
-  // The same forged home reached through the batch engine's thread pool
-  // surfaces as the same typed error on the calling thread.
-  ThreadPool pool{1};
-  EXPECT_THROW(pool.parallel_for(2,
-                                 [&](std::size_t s) {
-                                   NowState::EditScratch local;
-                                   if (s == 1) {
-                                     state.rebuild_members(slot, {}, 0,
-                                                           local);
-                                   }
-                                 }),
-               MembershipMismatch);
-  EXPECT_EQ(members_of(state, c), before);
+  // With the forgeries undone, the same call succeeds and rewrites nothing.
+  state.corrupt_home_for_test(far, ClusterId::invalid());
+  rebuild(state, {slot, other}, {}, scratch, 2);
+  expect_untouched();
+}
+
+TEST(StageOneTest, EmptyHomePagesAreReleased) {
+  // Cluster A holds node_home page 0 (ids 0..1023), B the start of page 1.
+  // Once all of A's members have left, stage 1 frees page 0: later scans
+  // skip it, and get/set/corrupt_home_for_test on its ids still behave.
+  constexpr std::size_t kPage = PagedIndex<ClusterId>::kPageSize;
+  NowState state{small_over()};
+  const auto ids = make_clusters(state, {kPage, 40});
+  const ClusterId a = ids[0];
+  const ClusterId b = ids[1];
+  const std::size_t slot_a = state.slot_index(a);
+  const std::size_t slot_b = state.slot_index(b);
+  for (std::uint64_t v = 0; v < kPage; ++v) {
+    state.clear_home(NodeId{v});
+    state.unregister_node(NodeId{v});
+  }
+  const std::size_t footprint_before = state.footprint_bytes();
+  NowState::StageOneScratch scratch;
+  const auto first = rebuild(state, {slot_a},
+                             {{slot_a, -static_cast<std::int64_t>(kPage)}},
+                             scratch, 2);
+  EXPECT_EQ(first.scanned, 2 * kPage);
+  EXPECT_EQ(first.pages_released, 1u);
+  EXPECT_EQ(state.cluster_at(a).size(), 0u);
+  EXPECT_EQ(footprint_before - state.footprint_bytes(),
+            kPage * sizeof(ClusterId));
+  EXPECT_FALSE(state.home_of(NodeId{5}).valid());
+
+  // The released page is no longer scanned.
+  const auto second = rebuild(state, {slot_b}, {}, scratch, 2);
+  EXPECT_EQ(second.scanned, kPage);
+  EXPECT_EQ(second.pages_released, 0u);
+  EXPECT_EQ(members_of(state, b).front(), NodeId{kPage});
+
+  // A write to a released id re-allocates the page, and the next scan
+  // sees it again: here a forged home makes B one member too many.
+  state.corrupt_home_for_test(NodeId{5}, b);
+  EXPECT_EQ(state.home_of(NodeId{5}), b);
+  EXPECT_FALSE(state.home_of(NodeId{6}).valid());
+  EXPECT_THROW(rebuild(state, {slot_b}, {}, scratch), MembershipMismatch);
+  state.commit_home(NodeId{5}, a);
+  state.register_node(NodeId{5});
+  const auto third = rebuild(state, {slot_a}, {{slot_a, 1}}, scratch);
+  EXPECT_EQ(third.scanned, 2 * kPage);
+  EXPECT_EQ(members_of(state, a), (std::vector<NodeId>{NodeId{5}}));
+  state.clear_home(NodeId{5});
+  state.unregister_node(NodeId{5});
+  const auto fourth = rebuild(state, {slot_a}, {{slot_a, -1}}, scratch);
+  EXPECT_EQ(fourth.pages_released, 1u);
+  EXPECT_EQ(state.footprint_bytes() + kPage * sizeof(ClusterId),
+            footprint_before);
 }
 
 /// Drives the commit's resolve + stage-1 protocol directly against a
 /// std::set reference model of membership: random joins, leaves and swaps
 /// (a node may move several times, or move and then leave, within one
-/// batch) write node_home and record per-slot arrivals and net counts the
+/// batch) write node_home and record per-slot touches and net counts the
 /// way the resolve does; stage 1 then rebuilds every touched slot on
-/// `shards` workers over contiguous slot blocks, and stage 2 commits the
-/// spills in ascending slot order.
+/// `shards` workers, and stage 2 commits the spills in ascending slot
+/// order.
 class StageOneModel {
  public:
   StageOneModel(std::uint64_t seed, std::size_t shards)
       : state_{small_over()}, rng_{seed}, shards_{shards},
-        pool_{shards - 1}, scratch_(shards) {
+        pool_{shards - 1} {
     for (std::size_t c = 0; c < 24; ++c) {
       ids_.push_back(state_.create_cluster());
       model_.emplace_back();
       for (std::uint64_t i = 0; i < 4 + rng_.uniform(40); ++i) {
-        const NodeId node = state_.fresh_node_id();
+        const NodeId node = fresh_node();
         state_.register_node(node);
         state_.add_member(ids_[c], node);
         model_[c].insert(node);
@@ -466,20 +534,19 @@ class StageOneModel {
   void batch(std::size_t ops, std::uint64_t join_bias,
              std::size_t join_spread) {
     touched_.clear();
-    arrivals_.assign(ids_.size(), {});
-    net_.assign(ids_.size(), 0);
+    net_.assign(state_.slot_count(), 0);
     std::int64_t placed_delta = 0;
     for (std::size_t op = 0; op < ops; ++op) {
       const std::uint64_t roll = rng_.uniform(100);
       if (roll < join_bias || live_.size() < 2) {
         const std::size_t c = rng_.uniform(join_spread);
-        const NodeId node = state_.fresh_node_id();
+        const NodeId node = fresh_node();
         state_.register_node(node);
         state_.commit_home(node, ids_[c]);
         model_[c].insert(node);
         live_.push_back(node);
-        arrive(c, node);
-        ++net_[c];
+        touch(c);
+        ++net_[slot(c)];
         ++placed_delta;
       } else if (roll < join_bias + (100 - join_bias) / 3) {
         const std::size_t at = rng_.uniform(live_.size());
@@ -491,7 +558,7 @@ class StageOneModel {
         live_[at] = live_.back();
         live_.pop_back();
         touch(c);
-        --net_[c];
+        --net_[slot(c)];
         --placed_delta;
       } else {
         const NodeId x = live_[rng_.uniform(live_.size())];
@@ -507,37 +574,25 @@ class StageOneModel {
         model_[yc].insert(x);
         model_[yc].erase(y);
         model_[xc].insert(y);
-        arrive(yc, x);
-        arrive(xc, y);
+        touch(yc);
+        touch(xc);
       }
     }
 
-    const std::size_t slot_block =
-        (state_.slot_count() + shards_ - 1) / shards_;
-    std::vector<std::vector<std::pair<std::size_t, std::int64_t>>> deltas(
-        shards_);
-    pool_.parallel_for(shards_, [&](std::size_t s) {
-      for (const std::size_t c : touched_) {
-        const std::size_t slot = state_.slot_index(ids_[c]);
-        if (slot / slot_block != s) continue;
-        state_.rebuild_members(slot, arrivals_[c], net_[c], scratch_[s]);
-        if (net_[c] != 0) deltas[s].emplace_back(slot, net_[c]);
-      }
-    });
-    std::vector<std::pair<std::size_t, const std::vector<NodeId>*>> spilled;
-    for (const auto& w : scratch_) {
-      for (const auto& [slot, members] : w.spills) {
-        spilled.emplace_back(slot, &members);
-      }
+    std::vector<std::size_t> slots;
+    for (const std::size_t c : touched_) slots.push_back(slot(c));
+    released_ +=
+        state_.rebuild_memberships(slots, net_, pool_, shards_, scratch_)
+            .pages_released;
+    spills_ += scratch_.spills.size();
+    for (const auto& [slot, members] : scratch_.spills) {
+      state_.commit_spilled_members(slot, members);
     }
-    std::sort(spilled.begin(), spilled.end());
-    spills_ += spilled.size();
-    for (const auto& [slot, members] : spilled) {
-      state_.commit_spilled_members(slot, *members);
-    }
-    for (auto& w : scratch_) w.spills.clear();
+    scratch_.spills.clear();
     std::vector<std::pair<std::size_t, std::int64_t>> all;
-    for (const auto& d : deltas) all.insert(all.end(), d.begin(), d.end());
+    for (const std::size_t s : slots) {
+      if (net_[s] != 0) all.emplace_back(s, net_[s]);
+    }
     std::sort(all.begin(), all.end());
     state_.apply_size_deltas(all);
     state_.adjust_placed_count(placed_delta);
@@ -563,6 +618,7 @@ class StageOneModel {
 
   [[nodiscard]] const NowState& state() const { return state_; }
   [[nodiscard]] std::size_t spills() const { return spills_; }
+  [[nodiscard]] std::size_t released() const { return released_; }
 
  private:
   void touch(std::size_t c) {
@@ -570,9 +626,17 @@ class StageOneModel {
       touched_.push_back(c);
     }
   }
-  void arrive(std::size_t c, NodeId node) {
-    touch(c);
-    arrivals_[c].push_back(node);
+  /// A fresh node id, skipping up to 599 more, so the nodes spread over
+  /// many node_home pages: every worker scans some, and pages empty out.
+  NodeId fresh_node() {
+    const NodeId node = state_.fresh_node_id();
+    for (std::uint64_t skip = rng_.uniform(600); skip > 0; --skip) {
+      (void)state_.fresh_node_id();
+    }
+    return node;
+  }
+  [[nodiscard]] std::size_t slot(std::size_t c) const {
+    return state_.slot_index(ids_[c]);
   }
   [[nodiscard]] std::size_t index_of(ClusterId id) const {
     return static_cast<std::size_t>(
@@ -583,14 +647,14 @@ class StageOneModel {
   Rng rng_;
   std::size_t shards_;
   ThreadPool pool_;
-  std::vector<NowState::EditScratch> scratch_;
+  NowState::StageOneScratch scratch_;
   std::vector<ClusterId> ids_;
   std::vector<std::set<NodeId>> model_;
   std::vector<NodeId> live_;
   std::vector<std::size_t> touched_;
-  std::vector<std::vector<NodeId>> arrivals_;
-  std::vector<std::int64_t> net_;
+  std::vector<std::int64_t> net_;  // by slot
   std::size_t spills_ = 0;
+  std::size_t released_ = 0;
 };
 
 TEST(StageOneTest, RandomBatchesMatchSetModelAtEveryShardCount) {
@@ -613,6 +677,7 @@ TEST(StageOneTest, RandomBatchesMatchSetModelAtEveryShardCount) {
         if (HasFatalFailure()) return;
       }
       EXPECT_GT(model.spills(), 0u) << "no batch exercised the spill path";
+      EXPECT_GT(model.released(), 0u) << "no node_home page was released";
       layouts.push_back(slab_signature(model.state()));
     }
     // The slab layout, not just membership, is shard-independent.
@@ -622,6 +687,39 @@ TEST(StageOneTest, RandomBatchesMatchSetModelAtEveryShardCount) {
           << " laid the slab out differently from shards 1";
     }
   }
+}
+
+TEST(StageOneTest, LongChurnScanStaysNearLivePopulation) {
+  // Steady churn allocates 32 fresh ids a step while uniform leaves retire
+  // old ones, so the ids ever allocated outgrow the live population
+  // without bound (34x here after 1000 steps). Releasing the node_home
+  // pages that empty out keeps every stage-1 scan within a small multiple
+  // of the live population (~7.5x at steady state, under 10x at every
+  // step; without the release it grows with the run, ~17x by the end).
+  constexpr std::size_t kNodes = 2000;
+  NowParams params;
+  params.max_size = 1 << 12;
+  params.walk_mode = WalkMode::kSampleExact;
+  Metrics metrics;
+  NowSystem system{params, metrics, 1};
+  system.initialize(kNodes, kNodes * 15 / 100, InitTopology::kModeledSparse);
+  Rng victims{77};
+  std::size_t released = 0;
+  double worst = 0.0;
+  for (int step = 0; step < 1000; ++step) {
+    const auto leaves = system.state().sample_distinct_nodes(victims, 32);
+    const auto report = system.step_parallel_mixed(32, 0, leaves, 4).second;
+    metrics.reset();
+    released += report.home_pages_released;
+    ASSERT_GT(report.stage1_scanned, 0u);
+    if (step >= 500) {
+      worst = std::max(worst, static_cast<double>(report.stage1_scanned) /
+                                  static_cast<double>(system.num_nodes()));
+    }
+  }
+  EXPECT_GT(released, 0u);
+  EXPECT_LE(worst, 10.0);
+  EXPECT_TRUE(system.check().ok);
 }
 
 // ----------------------------------------------- system-level slab behavior

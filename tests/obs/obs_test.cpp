@@ -268,8 +268,9 @@ TEST(TraceExportTest, ForkedTwoProcessRunWritesValidTraceEventJson) {
 
 // ------------------------------------------------------ engine counters
 
-/// The batch engine bumps step.conflicts, step.stage2_spills and
-/// step.waves once per batch by that batch's OpReport fields, so after N
+/// The batch engine bumps step.conflicts, step.stage2_spills, step.waves,
+/// step.stage1_scanned and step.home_pages_released once per batch by that
+/// batch's OpReport fields, so after N
 /// batches each counter is the sum of the N reports (and 0 when telemetry
 /// is compiled out).
 TEST(ObsCountersTest, EngineWorkCountersEqualSummedOpReports) {
@@ -286,19 +287,35 @@ TEST(ObsCountersTest, EngineWorkCountersEqualSummedOpReports) {
   std::uint64_t conflicts = 0;
   std::uint64_t spills = 0;
   std::uint64_t waves = 0;
+  std::uint64_t scanned = 0;
+  std::uint64_t released = 0;
   for (int batch = 0; batch < 12; ++batch) {
-    // Leave-heavy batches conflict; the odd join bursts spill.
-    const std::size_t joins = batch % 3 == 2 ? 120 : 4;
-    const auto leaves = system.state().sample_distinct_nodes(victims, 24);
+    // Leave-heavy batches conflict; the odd join bursts spill. Batch 6
+    // retires every node of the second node_home page, which stage 1 then
+    // releases (and later joins re-allocate).
+    std::size_t joins = batch % 3 == 2 ? 120 : 4;
+    std::vector<NodeId> leaves;
+    if (batch == 6) {
+      joins = 0;
+      for (const NodeId node : system.state().live_nodes()) {
+        if (node.value() >= 1024) leaves.push_back(node);
+      }
+    } else {
+      leaves = system.state().sample_distinct_nodes(victims, 24);
+    }
     const auto [joined, report] =
         system.step_parallel_mixed(joins, 0, leaves, 4);
     conflicts += report.conflicts;
     spills += report.stage2_spills;
     waves += report.wave_count;
+    scanned += report.stage1_scanned;
+    released += report.home_pages_released;
   }
   ASSERT_GT(conflicts, 0u);
   ASSERT_GT(spills, 0u);
   ASSERT_GT(waves, 0u);
+  ASSERT_GT(scanned, 0u);
+  ASSERT_GT(released, 0u);
   auto& reg = Registry::instance();
   const std::uint64_t scale = kCompiledIn ? 1 : 0;
   EXPECT_EQ(reg.counter_value(reg.counter("step.conflicts")),
@@ -306,6 +323,10 @@ TEST(ObsCountersTest, EngineWorkCountersEqualSummedOpReports) {
   EXPECT_EQ(reg.counter_value(reg.counter("step.stage2_spills")),
             scale * spills);
   EXPECT_EQ(reg.counter_value(reg.counter("step.waves")), scale * waves);
+  EXPECT_EQ(reg.counter_value(reg.counter("step.stage1_scanned")),
+            scale * scanned);
+  EXPECT_EQ(reg.counter_value(reg.counter("step.home_pages_released")),
+            scale * released);
 }
 
 // ---------------------------------------------------------- determinism
