@@ -188,7 +188,8 @@ class NowSystem {
   /// `shards <= 1` runs the historical sequential engine (bit-compatible
   /// with the pre-sharding implementation — the tier-1 fixed-seed tests and
   /// the pre-PR BENCH trajectory key off this path). `shards >= 2` routes to
-  /// step_parallel_sharded below.
+  /// step_parallel_mixed below, corrupting every joiner when
+  /// `byzantine_joiners` is set.
   std::pair<std::vector<NodeId>, OpReport> step_parallel(
       std::size_t joins, const std::vector<NodeId>& leaves,
       bool byzantine_joiners = false, std::size_t shards = 1);
@@ -217,15 +218,11 @@ class NowSystem {
   /// wall-clock. This entry point always uses the sharded engine, so
   /// `shards = 1` here is the equivalence baseline, while
   /// step_parallel(..., shards = 1) is the legacy sequential engine.
-  std::pair<std::vector<NodeId>, OpReport> step_parallel_sharded(
-      std::size_t joins, const std::vector<NodeId>& leaves,
-      bool byzantine_joiners, std::size_t shards);
-
-  /// Generalization of step_parallel_sharded for adversarial batches: the
-  /// first `byzantine_joins` of the `joins` joiners are corrupted, the rest
-  /// are honest (the batched join-leave attack corrupts a tau fraction of
-  /// each wave of joiners rather than all or none). byzantine_joins must
-  /// not exceed joins. The bool entry points above delegate here.
+  ///
+  /// The first `byzantine_joins` of the `joins` joiners are corrupted, the
+  /// rest are honest (the batched join-leave attack corrupts a tau fraction
+  /// of each wave of joiners rather than all or none). byzantine_joins must
+  /// not exceed joins.
   std::pair<std::vector<NodeId>, OpReport> step_parallel_mixed(
       std::size_t joins, std::size_t byzantine_joins,
       const std::vector<NodeId>& leaves, std::size_t shards);
@@ -308,13 +305,9 @@ class NowSystem {
   /// the hardware concurrency. Worker count never affects results.
   ThreadPool& pool_for(std::size_t shards);
 
-  /// Snapshot glue (core/snapshot.cpp reaches the private fields; the
-  /// PlanCache blob lives behind the opaque BatchScratch, so its two
-  /// halves are implemented in now.cpp).
+  /// Snapshot glue (core/snapshot.cpp reaches the private fields).
   friend void save_system(const NowSystem& system, SnapshotWriter& writer);
   friend void load_system(NowSystem& system, SnapshotReader& reader);
-  void save_plan_cache(SnapshotWriter& writer) const;
-  void load_plan_cache(SnapshotReader& reader);
 
   NowParams params_;
   Metrics& metrics_;

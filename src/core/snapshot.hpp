@@ -8,13 +8,10 @@
 // membership), the Byzantine and live-node sets IN THEIR DENSE ORDER (both
 // orders are observable through uniform index draws and items()
 // iteration), the overlay adjacency in its dense vertex order
-// (random_vertex indexes it), the system RNG's raw 256-bit state, the
-// batch/step counters — and the PlanCache's alias-sampler state (the stale
-// Vose weights plus the dirty overlay list), because draw_biased's
-// rejection pattern is observable through the per-op derived RNG streams.
-// Everything else in the PlanCache (dense index tables, neighborhood
-// populations) is a pure function of the restored state and is REBUILT on
-// load, then debug-asserted consistent_with(state).
+// (random_vertex indexes it), the system RNG's raw 256-bit state and the
+// batch/step counters. The PlanCache is not written: its dense tables,
+// neighborhood populations and alias table are pure functions of the
+// restored state, so load leaves it invalid and the next batch rebuilds it.
 //
 // Restore-then-continue is bit-identical to the uninterrupted run for
 // every shard count (tests/core/snapshot_test.cpp).
@@ -57,7 +54,9 @@ class SnapshotError : public std::runtime_error {
 ///        + bulk little-endian member block per live slot.
 ///   v3 — layout-free membership: per live slot only (id, size, bulk member
 ///        block); load carves the packed layout compact() produces.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
+///   v4 — no PlanCache section (the alias table is rebuilt every batch,
+///        so it has no stale weights or dirty list to carry).
+inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
 
 /// Little-endian binary writer over an in-memory buffer. write_file frames
 /// the buffer with magic + version + checksum.

@@ -18,7 +18,7 @@ namespace now::sim {
 namespace {
 
 constexpr std::string_view kCheckpointMagic = "NOWSHARD";
-constexpr std::uint32_t kCheckpointVersion = 2;
+constexpr std::uint32_t kCheckpointVersion = 3;
 
 // Stream tags separating the per-shard seed derivations from each other
 // (and from anything the scenario driver derives from the same user seed).

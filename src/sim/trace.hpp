@@ -57,7 +57,7 @@ namespace now::sim {
 // follow every snapshot version bump.
 inline constexpr std::uint32_t kTraceFormatVersion = 2;
 inline constexpr std::uint32_t kTraceMinReadVersion = 1;
-inline constexpr std::uint32_t kCheckpointFormatVersion = 3;
+inline constexpr std::uint32_t kCheckpointFormatVersion = 4;
 
 /// Records a scenario into an in-memory trace; run_scenario drives it
 /// (attach as the system's TraceSink, call begin_step/record_sample/

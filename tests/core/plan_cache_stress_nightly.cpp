@@ -1,9 +1,10 @@
 // Nightly large-n stress of the plan-phase machinery (DESIGN.md §11): a
-// million-node deployment churned through dirty-overlay batches, verifying
-// after every batch that the incrementally maintained PlanCache (dense
-// tables, neighborhood populations, alias dirty overlay) still matches a
-// from-scratch rebuild, and that the epoch-stamped batch scratch keeps the
-// state invariants intact at a scale the tier-1 suite never reaches.
+// million-node deployment churned through structure-preserving batches,
+// verifying after every batch that the persistent PlanCache (dense tables,
+// incrementally patched neighborhood populations, the alias table rebuilt
+// per batch) still matches a from-scratch rebuild, and that the
+// epoch-stamped batch scratch keeps the state invariants intact at a scale
+// the tier-1 suite never reaches.
 //
 // NOT part of the ctest tier-1 suite: the `_nightly.cpp` suffix escapes the
 // `tests/**/*_test.cpp` glob; CMake builds it as `plan_cache_stress_nightly`
@@ -30,9 +31,9 @@ TEST(PlanCacheStressNightly, MillionNodeChurnKeepsCacheConsistent) {
   ASSERT_TRUE(system.check().ok);
 
   // Size-neutral churn keeps the batches structure-preserving most of the
-  // time, so the alias sampler's dirty overlay absorbs thousands of
-  // per-slot deltas between rebuilds — the exact path the incremental
-  // maintenance must keep exact.
+  // time, so the cache absorbs thousands of per-slot deltas per batch
+  // through its incremental neighborhood upkeep and per-batch alias
+  // rebuild — the exact path the maintenance must keep exact.
   Rng victim_rng{4242};
   constexpr std::size_t kBatches = 12;
   constexpr std::size_t kOps = 5000;

@@ -1,12 +1,14 @@
-// Tests for the persistent, incrementally maintained PlanCache
-// (core/plan_cache.hpp): exact |C|/n sampling through the dirty-overlay
-// alias sampler, incremental neighborhood maintenance, and the rebuild
-// thresholds.
+// Tests for the persistent PlanCache (core/plan_cache.hpp): exact |C|/n
+// sampling through the alias table rebuilt on every batch's size deltas,
+// incremental neighborhood maintenance, and the consistency check that
+// catches a table which no longer encodes the current sizes.
 #include "core/plan_cache.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -73,56 +75,51 @@ void expect_size_biased_law(const PlanCache& cache, std::uint64_t seed,
   }
 }
 
+/// The commit's delta list for `changes` (cluster index, signed delta).
+std::vector<std::pair<std::size_t, std::int64_t>> slot_deltas(
+    const Fixture& fx,
+    const std::vector<std::pair<std::size_t, std::int64_t>>& changes) {
+  std::vector<std::pair<std::size_t, std::int64_t>> deltas;
+  for (const auto& [i, delta] : changes) {
+    deltas.emplace_back(fx.state.slot_index(fx.ids[i]), delta);
+  }
+  return deltas;
+}
+
 TEST(PlanCacheTest, FreshBuildIsConsistentAndSamplesExactly) {
   Fixture fx{{40, 10, 25, 60, 5, 33, 27}};
   PlanCache cache;
   cache.build(fx.state, cache_params());
   EXPECT_TRUE(cache.consistent_with(fx.state));
   EXPECT_EQ(cache.total_weight, fx.state.num_nodes());
-  EXPECT_TRUE(cache.dirty_list.empty());
   expect_size_biased_law(cache, 11, 200000);
 }
 
 TEST(PlanCacheTest, IncrementalDeltasKeepCacheExact) {
-  Fixture fx{{30, 30, 30, 30, 30, 30}};
-  PlanCache cache;
-  cache.build(fx.state, cache_params());
-
-  // Grow cluster 0 by 12, shrink cluster 3 by 9 — apply the same deltas
-  // the commit would hand the cache, then verify against a fresh rebuild
-  // via the exhaustive consistency check (sizes, neighborhoods, tables).
-  fx.grow(fx.ids[0], 12);
-  cache.apply_size_delta(fx.state, fx.state.slot_index(fx.ids[0]), 12);
-  fx.shrink(fx.ids[3], 9);
-  cache.apply_size_delta(fx.state, fx.state.slot_index(fx.ids[3]), -9);
-  EXPECT_TRUE(cache.consistent_with(fx.state));
-  EXPECT_EQ(cache.total_weight, fx.state.num_nodes());
-
-  // The dirty overlay is active (two entries, below the rebuild
-  // thresholds) and the sampler must realize the *current* law exactly.
-  EXPECT_EQ(cache.dirty_list.size(), 2u);
-  expect_size_biased_law(cache, 13, 200000);
-}
-
-TEST(PlanCacheTest, DirtyOverlayRebuildThresholdFires) {
-  // 40 clusters: dirtying more than 40/16 = 2 entries triggers the length
-  // threshold on the next maybe_rebuild_alias, clearing the overlay.
-  std::vector<std::size_t> sizes(40, 20);
+  // 40 clusters and one changed size: a batch this small used to leave the
+  // alias table stale behind a correction overlay. The table is now
+  // rebuilt from the current weights, and the sampler must realize the
+  // *current* law exactly.
+  std::vector<std::size_t> sizes(40, 30);
   Fixture fx{sizes};
   PlanCache cache;
   cache.build(fx.state, cache_params());
-  for (int i = 0; i < 4; ++i) {
-    fx.grow(fx.ids[static_cast<std::size_t>(i)], 1);
-    cache.apply_size_delta(
-        fx.state, fx.state.slot_index(fx.ids[static_cast<std::size_t>(i)]),
-        1);
-  }
-  EXPECT_EQ(cache.dirty_list.size(), 4u);
-  cache.maybe_rebuild_alias();
-  EXPECT_TRUE(cache.dirty_list.empty());
-  EXPECT_EQ(cache.table_total, cache.total_weight);
+
+  // Grow cluster 0 by 45 — apply the delta the commit would hand the
+  // cache, then verify against a fresh rebuild via the exhaustive
+  // consistency check (sizes, neighborhoods, tables, alias masses).
+  fx.grow(fx.ids[0], 45);
+  cache.apply_size_deltas(fx.state, slot_deltas(fx, {{0, 45}}));
   EXPECT_TRUE(cache.consistent_with(fx.state));
-  expect_size_biased_law(cache, 17, 100000);
+  EXPECT_EQ(cache.total_weight, fx.state.num_nodes());
+  expect_size_biased_law(cache, 13, 200000);
+
+  // A second batch, with a grow and a shrink in one delta list.
+  fx.grow(fx.ids[7], 12);
+  fx.shrink(fx.ids[3], 9);
+  cache.apply_size_deltas(fx.state, slot_deltas(fx, {{7, 12}, {3, -9}}));
+  EXPECT_TRUE(cache.consistent_with(fx.state));
+  expect_size_biased_law(cache, 17, 200000);
 }
 
 TEST(PlanCacheTest, NeighborhoodsTrackNeighborSizeChanges) {
@@ -137,7 +134,7 @@ TEST(PlanCacheTest, NeighborhoodsTrackNeighborSizeChanges) {
     before.push_back(cache.neighborhood(fx.state, c));
   }
   fx.grow(changed, 7);
-  cache.apply_size_delta(fx.state, fx.state.slot_index(changed), 7);
+  cache.apply_size_deltas(fx.state, slot_deltas(fx, {{1, 7}}));
   for (std::size_t i = 0; i < fx.ids.size(); ++i) {
     const bool neighbor = fx.state.overlay.graph().has_edge(
         changed.value(), fx.ids[i].value());
@@ -146,6 +143,22 @@ TEST(PlanCacheTest, NeighborhoodsTrackNeighborSizeChanges) {
         << "cluster " << i;
   }
   EXPECT_TRUE(cache.consistent_with(fx.state));
+}
+
+TEST(PlanCacheTest, ConsistencyCheckCatchesAStaleAliasTable) {
+  // Weights patched but the table left as built: consistent_with must
+  // notice the table no longer encodes current_weight.
+  Fixture fx{{40, 10, 25, 60, 5, 33, 27}};
+  PlanCache cache;
+  cache.build(fx.state, cache_params());
+  PlanCache stale = cache;
+  fx.grow(fx.ids[2], 5);
+  cache.apply_size_deltas(fx.state, slot_deltas(fx, {{2, 5}}));
+  ASSERT_TRUE(cache.consistent_with(fx.state));
+  stale.current_weight = cache.current_weight;
+  stale.total_weight = cache.total_weight;
+  stale.neighborhood_by_index = cache.neighborhood_by_index;
+  EXPECT_FALSE(stale.consistent_with(fx.state));
 }
 
 }  // namespace

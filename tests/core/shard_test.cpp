@@ -122,7 +122,7 @@ TEST(ShardTest, WaveSchedulerRunsOneWavePerTouchedCluster) {
   NowSystem system{p, metrics, 71};
   system.initialize(60, 0, InitTopology::kModeledSparse);
   ASSERT_EQ(system.num_clusters(), 1u);
-  const auto [joined, report] = system.step_parallel_sharded(6, {}, false, 4);
+  const auto [joined, report] = system.step_parallel_mixed(6, 0, {}, 4);
   ASSERT_EQ(joined.size(), 6u);
   EXPECT_EQ(report.wave_count, 1u);  // 6 joins, one touched cluster
   EXPECT_EQ(report.conflicts, 0u);
@@ -137,7 +137,7 @@ TEST(ShardTest, WaveSchedulerRunsOneWavePerTouchedCluster) {
   big.initialize(1000, 0, InitTopology::kModeledSparse);
   Rng victims{5};
   const auto leaves = big.state().sample_distinct_nodes(victims, 12);
-  const auto [j2, r2] = big.step_parallel_sharded(12, leaves, false, 4);
+  const auto [j2, r2] = big.step_parallel_mixed(12, 0, leaves, 4);
   EXPECT_GT(r2.wave_count, 0u);
   EXPECT_LE(r2.wave_count, big.num_clusters());
   EXPECT_TRUE(big.check().ok);
@@ -154,8 +154,7 @@ TEST(ShardTest, ClusterSizeMultisetMatchesAcrossShardCounts) {
     Rng victims{7};
     for (int round = 0; round < 6; ++round) {
       const auto leaves = pick_victims(system, 8, victims);
-      system.step_parallel_sharded(8, leaves, false,
-                                   variant == 0 ? 1 : 4);
+      system.step_parallel_mixed(8, 0, leaves, variant == 0 ? 1 : 4);
     }
     for (const ClusterId id : system.state().cluster_ids()) {
       histogram[variant][system.state().cluster_at(id).size()] += 1;
@@ -175,7 +174,7 @@ TEST(ShardTest, PerShardCostsMergeIntoReport) {
   const auto joins_before = metrics.operation_count(metrics.find("join"));
   const auto leaves_before = metrics.operation_count(metrics.find("leave"));
   const auto [joined, report] =
-      system.step_parallel_sharded(9, leaves, false, 3);
+      system.step_parallel_mixed(9, 0, leaves, 3);
   ASSERT_EQ(joined.size(), 9u);
 
   // One planning-cost entry per shard; every planned message is accounted
@@ -214,7 +213,7 @@ TEST(ShardTest, ShardedBatchConservesNodesAndInvariants) {
   for (int round = 0; round < 5; ++round) {
     const auto leaves = pick_victims(system, 6, victims);
     const auto [joined, report] =
-        system.step_parallel_sharded(11, leaves, false, 4);
+        system.step_parallel_mixed(11, 0, leaves, 4);
     EXPECT_EQ(joined.size(), 11u);
     expected += 11 - 6;
     ASSERT_EQ(system.num_nodes(), expected);
@@ -396,11 +395,9 @@ TEST(ShardTest, IncrementalPlanCacheMatchesFullRebuild) {
   // through the cached aggregates (neighborhood populations, walk cost
   // model, alias sampler), so any maintenance drift — a stale neighbor
   // population, a missed size delta — shows up as diverging messages or
-  // partitions here. At this scale the batch dirties more than k/16
-  // entries, so the alias overlay rebuilds after each commit and both
-  // systems plan with a clean (two-uniform-draw) sampler: outcomes are
-  // exactly bitwise equal. (The dirty overlay's law is covered
-  // statistically in plan_cache_test.)
+  // partitions here. The alias table is rebuilt from the current sizes
+  // after every commit, so both systems plan with the same table and the
+  // outcomes are exactly bitwise equal.
   Metrics metrics_inc;
   Metrics metrics_rebuild;
   NowSystem incremental{shard_params(), metrics_inc, 91};
@@ -433,17 +430,16 @@ TEST(ShardTest, IncrementalPlanCacheMatchesFullRebuild) {
   EXPECT_TRUE(rebuild.check().ok);
 }
 
-TEST(ShardTest, DirtyAliasOverlayStaysShardCountIndependent) {
-  // Regression test: at a scale where a batch dirties fewer than k/16
-  // alias entries, the PlanCache dirty overlay SURVIVES into the next
-  // batch's planning and a size-biased partner draw can land in
-  // draw_biased's dirty branch — a linear scan of dirty_list, whose order
-  // is therefore observable. That order must be canonical: before the
-  // commit sorted its size deltas by slot, it followed stage 1's
-  // shard-count-dependent slot-block concatenation, and shards 1 vs 4
-  // diverged by thousands of node homes within two batches (the small
-  // deployments of the tests above never caught it, because there the
-  // k/16 threshold rebuilds the table after every batch).
+TEST(ShardTest, MidScaleBatchesStayShardCountIndependent) {
+  // ~600 clusters with 4+4-op batches: each batch changes the sizes of
+  // only a few percent of the clusters, so the PlanCache is carried across
+  // many batches without a structural rebuild, and stage 1 hands the
+  // commit its size deltas in a shard-count-dependent slot-block order.
+  // Every consumer of those deltas (Fenwick adds, cache weights and
+  // neighborhood populations, the alias rebuild from the resulting
+  // weights) must be order-free, so shards 1 and 4 must keep identical
+  // node homes batch after batch. The small deployments of the tests
+  // above restructure too often to exercise this regime.
   NowParams p;  // default k -> ~33-member clusters, ~600 of them
   p.max_size = 1 << 15;
   p.walk_mode = WalkMode::kSampleExact;

@@ -185,18 +185,18 @@ TEST(SnapshotTest, LegacySequentialOpsContinueIdenticallyToo) {
   std::remove(path.c_str());
 }
 
-TEST(SnapshotTest, DirtySamplerOverlaySurvivesTheRoundTrip) {
-  // At small scales every batch crosses the alias rebuild threshold, so
-  // the saved sampler state is trivial (clean table, empty dirty list).
-  // At this scale (~600 clusters, 4+4 ops/batch) the dirty overlay
-  // SURVIVES across batches and draw_biased's rejection pattern — and
-  // therefore every subsequent partner draw — depends on the exact stale
-  // weights and dirty-list order. Restoring must reproduce them verbatim;
-  // restore-then-continue diverges within two batches if it does not.
+TEST(SnapshotTest, MidScaleRoundTripContinuesBitExact) {
+  // At this scale (~600 clusters, 4+4 ops/batch) most batches restructure
+  // nothing, so the uninterrupted run carries its PlanCache across the
+  // save point while the restored run rebuilds it from the loaded state
+  // at its first batch. The snapshot holds no cache section, so the two
+  // caches agree only if the cache is a pure function of the state:
+  // restore-then-continue must stay bit-identical to the uninterrupted
+  // run.
   NowParams p;  // default k -> ~33-member clusters, ~600 of them
   p.max_size = 1 << 15;
   p.walk_mode = WalkMode::kSampleExact;
-  const std::string path = temp_path("now_dirty.snap");
+  const std::string path = temp_path("now_mid_scale.snap");
   Metrics ma;
   Metrics mb;
   NowSystem a{p, ma, 101};
@@ -226,7 +226,7 @@ TEST(SnapshotTest, DirtySamplerOverlaySurvivesTheRoundTrip) {
     ASSERT_EQ(ja, jc) << "batch " << t;
     EXPECT_EQ(ra.cost.messages, rc.cost.messages) << "batch " << t;
   }
-  expect_identical(a, c, "dirty-overlay continuation");
+  expect_identical(a, c, "mid-scale continuation");
   std::remove(path.c_str());
 }
 
@@ -269,6 +269,11 @@ TEST(SnapshotTest, RejectsWrongMagicVersionTruncationAndCorruption) {
   bad = good;
   bad[8] = static_cast<char>(kSnapshotFormatVersion + 1);
   expect_rejected(bad, "version");
+  // The previous format version: v3 payloads end in a PlanCache section
+  // that v4 no longer writes, and readers accept only the current version.
+  bad = good;
+  bad[8] = static_cast<char>(kSnapshotFormatVersion - 1);
+  expect_rejected(bad, "previous version");
   // Truncation, both mid-payload and inside the checksum.
   expect_rejected(good.substr(0, good.size() / 2), "truncated payload");
   expect_rejected(good.substr(0, good.size() - 3), "truncated checksum");

@@ -16,6 +16,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <thread>
@@ -310,6 +312,37 @@ TEST(ShardRuntimeTest, FaultsDoNotChangeTheTrajectory) {
   EXPECT_EQ(faulted.run_digest, ref.run_digest);
   EXPECT_EQ(faulted.step_digests, ref.step_digests);
   EXPECT_GE(faulted.engine_rounds, ref.engine_rounds);
+}
+
+TEST(ShardRuntimeTest, CheckpointRejectsThePreviousFormatVersion) {
+  const sim::ShardSpec spec = small_spec(13);
+  const std::string dir = testing::TempDir() + "now_shard_previous_version";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  sim::ShardSim shard{spec, 0};
+  shard.run_step();
+  shard.save_checkpoint(dir);
+  EXPECT_EQ(sim::ShardSim::load_checkpoint(spec, 0, dir)->completed(), 1u);
+
+  // Step the little-endian version field after the 8-byte magic back by
+  // one; the payload checksum still matches, so only the version check
+  // can refuse the file.
+  const std::string path = dir + "/shard_0.ckpt";
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(bytes.size(), 12u);
+  bytes[8] = static_cast<char>(bytes[8] - 1);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamoff>(bytes.size()));
+  }
+  EXPECT_THROW((void)sim::ShardSim::load_checkpoint(spec, 0, dir),
+               core::SnapshotError);
+  fs::remove_all(dir);
 }
 
 /// Forks a worker process for `shard` connecting to the hub at `port`.

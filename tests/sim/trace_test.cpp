@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -240,6 +242,41 @@ TEST(TraceTest, CheckpointRejectsMismatchedScenario) {
   Metrics m3;
   adversary::ForcedLeaveAdversary a3{wrong_adv.params.tau};
   EXPECT_THROW(run_scenario(wrong_adv, a3, m3), core::SnapshotError);
+  std::remove(ckpt.c_str());
+}
+
+TEST(TraceTest, CheckpointRejectsThePreviousFormatVersion) {
+  const std::string ckpt = temp_path("now_previous_version.ckpt");
+  ScenarioConfig halted = batched_config(67);
+  halted.checkpoint_path = ckpt;
+  halted.halt_at = 5;
+  Metrics metrics;
+  adversary::RandomChurnAdversary adversary{
+      halted.params.tau, adversary::ChurnSchedule::hold(halted.n0)};
+  (void)run_scenario(halted, adversary, metrics);
+
+  // Rewrite the little-endian version field after the 8-byte magic; the
+  // payload checksum still matches, so only the version check can refuse.
+  std::string bytes;
+  {
+    std::ifstream in(ckpt, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(bytes.size(), 12u);
+  ASSERT_EQ(bytes[8], static_cast<char>(kCheckpointFormatVersion));
+  bytes[8] = static_cast<char>(kCheckpointFormatVersion - 1);
+  {
+    std::ofstream out(ckpt, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamoff>(bytes.size()));
+  }
+
+  ScenarioConfig resumed = batched_config(67);
+  resumed.resume_from = ckpt;
+  Metrics m2;
+  adversary::RandomChurnAdversary a2{
+      resumed.params.tau, adversary::ChurnSchedule::hold(resumed.n0)};
+  EXPECT_THROW(run_scenario(resumed, a2, m2), core::SnapshotError);
   std::remove(ckpt.c_str());
 }
 
